@@ -36,12 +36,12 @@ func TestGuardWriteUnprotectedZeroAlloc(t *testing.T) {
 	// collision-check branch (one MAC compute + field compare).
 	var line pte.Line
 	for i := range line {
-		line[i] = pte.Entry(testFlags | pte.MaskMAC).WithPFN(0x100 + uint64(i))
+		line[i] = pte.Entry(testFlags).WithPFN(0x100+uint64(i)) | pte.Entry(pte.MaskMAC)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		w, err := g.OnWrite(line, 0x4000)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || !w.MACComputed || w.Protected {
+			t.Fatal("line did not take the collision-check branch")
 		}
 		sinkWrite = w
 	}); n != 0 {
@@ -73,6 +73,118 @@ func TestGuardDataReadZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("OnRead (data path) allocates %.1f objects/op, want 0", n)
 	}
+}
+
+// The gates above replay one line at one address, so after the first call
+// they measure line-MAC memo hits. The miss variants below cycle a ring of
+// addresses with two alternating images each: every call finds the other
+// image memoised at its address and runs the cipher.
+
+const missRingLen = 8
+
+func ringAddr(slot int) uint64 { return 0x8000 + uint64(slot)*pte.LineBytes }
+
+// missRing returns the image and address for call i of a steady-state miss
+// cycle.
+func missRing(imgs *[2][missRingLen]pte.Line, i int) (pte.Line, uint64) {
+	slot := i % missRingLen
+	return imgs[i/missRingLen%2][slot], ringAddr(slot)
+}
+
+// pteRing returns two distinct PTE lines per ring address.
+func pteRing() *[2][missRingLen]pte.Line {
+	var imgs [2][missRingLen]pte.Line
+	for k := range imgs {
+		for s := range imgs[k] {
+			imgs[k][s] = makePTELine(0xBEEF00+uint64(k*missRingLen+s)*8, testFlags, pte.PTEsPerLine)
+		}
+	}
+	return &imgs
+}
+
+// missGate runs op over the ring until every address is memoised, then
+// asserts it allocates nothing while each call misses the memo.
+func missGate(t *testing.T, g *Guard, imgs *[2][missRingLen]pte.Line, what string, op func(pte.Line, uint64)) {
+	t.Helper()
+	i := 0
+	for ; i < 2*missRingLen; i++ {
+		op(missRing(imgs, i))
+	}
+	mask := g.cfg.Format.ProtectedMask
+	if n := testing.AllocsPerRun(200, func() {
+		line, addr := missRing(imgs, i)
+		i++
+		if g.memo[addr].img == maskedImage(line, mask) {
+			t.Fatal("miss gate hit the memo")
+		}
+		op(line, addr)
+	}); n != 0 {
+		t.Errorf("%s (memo miss) allocates %.1f objects/op, want 0", what, n)
+	}
+}
+
+func TestGuardWriteMissZeroAlloc(t *testing.T) {
+	g := newTestGuard(t, nil)
+	missGate(t, g, pteRing(), "OnWrite (protected)", func(line pte.Line, addr uint64) {
+		w, err := g.OnWrite(line, addr)
+		if err != nil || !w.Protected {
+			t.Fatal("PTE line not protected")
+		}
+		sinkWrite = w
+	})
+}
+
+func TestGuardWriteUnprotectedMissZeroAlloc(t *testing.T) {
+	g := newTestGuard(t, nil)
+	var imgs [2][missRingLen]pte.Line
+	for k := range imgs {
+		for s := range imgs[k] {
+			for i := range imgs[k][s] {
+				imgs[k][s][i] = pte.Entry(testFlags).WithPFN(uint64(0x100+8*(k*missRingLen+s)+i)) | pte.Entry(pte.MaskMAC)
+			}
+		}
+	}
+	missGate(t, g, &imgs, "OnWrite (collision check)", func(line pte.Line, addr uint64) {
+		w, err := g.OnWrite(line, addr)
+		if err != nil || !w.MACComputed || w.Protected {
+			t.Fatal("line did not take the collision-check branch")
+		}
+		sinkWrite = w
+	})
+}
+
+// protectedRing writes the pteRing lines through g and returns their
+// protected DRAM images, for the read-path miss gates.
+func protectedRing(t *testing.T, g *Guard) *[2][missRingLen]pte.Line {
+	imgs := pteRing()
+	for k := range imgs {
+		for s := range imgs[k] {
+			imgs[k][s] = writePTE(t, g, imgs[k][s], ringAddr(s))
+		}
+	}
+	return imgs
+}
+
+func TestGuardWalkReadMissZeroAlloc(t *testing.T) {
+	g := newTestGuard(t, nil)
+	missGate(t, g, protectedRing(t, g), "OnRead (PTE walk verify+strip)", func(line pte.Line, addr uint64) {
+		rd := g.OnRead(line, addr, true)
+		if rd.CheckFailed {
+			t.Fatal("clean line failed verification")
+		}
+		sinkRead = rd
+	})
+}
+
+func TestGuardDataReadMissZeroAlloc(t *testing.T) {
+	g := newTestGuard(t, nil)
+	missGate(t, g, protectedRing(t, g), "OnRead (data path)", func(line pte.Line, addr uint64) {
+		rd := g.OnRead(line, addr, false)
+		if !rd.Stripped {
+			t.Fatal("protected data line not stripped")
+		}
+		sinkRead = rd
+	})
 }
 
 func TestIncrementalCorrectionZeroAlloc(t *testing.T) {

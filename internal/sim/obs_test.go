@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptguard/internal/obs"
+	"ptguard/internal/tlb"
 )
 
 // TestResetStatsClearsRecoveryAndWalkTrace is the regression test for the
@@ -170,4 +171,32 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		run(b, func() *obs.Observer { return obs.New(obs.Options{SnapshotEvery: 5_000}) })
 	})
+}
+
+// TestResetStatsClearsPageWalks is the regression test for the warm-up
+// reset of the page walker: every TLB miss walks once, so after a reset the
+// measured PageWalks must equal the measured-window TLB misses, with no
+// warm-up walks carried over.
+func TestResetStatsClearsPageWalks(t *testing.T) {
+	s, err := NewSystem(Config{Mode: PTGuard, Seed: 42}, testProfile(t, "mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(testWarmup); err != nil {
+		t.Fatal(err)
+	}
+	if s.walker.Stats().Walks == 0 {
+		t.Fatal("warm-up walked no page tables; the reset has nothing to prove")
+	}
+	s.ResetStats()
+	if st := s.walker.Stats(); st != (tlb.WalkerStats{}) {
+		t.Errorf("ResetStats kept walker stats: %+v", st)
+	}
+	res, err := s.Run(testInstructions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if misses := s.tlb.Stats().Misses; res.PageWalks != misses {
+		t.Errorf("measured PageWalks = %d, want the %d measured TLB misses", res.PageWalks, misses)
+	}
 }

@@ -577,6 +577,7 @@ func (s *System) ResetStats() {
 	s.l2.ResetStats()
 	s.l3.ResetStats()
 	s.tlb.ResetStats()
+	s.walker.ResetStats()
 	s.ctrl.ResetStats()
 	s.checkFails = 0
 	s.recovery = RecoveryStats{}

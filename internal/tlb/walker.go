@@ -184,6 +184,11 @@ func (w *Walker) Stats() WalkerStats {
 	}
 }
 
+// ResetStats zeroes the activity counters while keeping the MMU cache warm.
+func (w *Walker) ResetStats() {
+	w.walks, w.memAccesses, w.mmuHits, w.checkFailures = 0, 0, 0, 0
+}
+
 // PublishObs feeds the walker counters into the metric registry under
 // "walker." (the obs snapshot path; a nil registry is a no-op).
 func (w *Walker) PublishObs(r *obs.Registry) {
