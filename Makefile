@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: ci vet build test perfbench-test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench bench-json bench-json-smoke bench-compare
+.PHONY: ci fmt vet build test perfbench-test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench bench-json bench-json-smoke bench-compare
 
 # ci is the gate every change must pass.
-ci: vet build test perfbench-test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench-json-smoke
+ci: fmt vet build test perfbench-test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench-json-smoke
+
+# fmt fails when any Go file (the nested perfbench module included) is not
+# gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

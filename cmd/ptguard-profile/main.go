@@ -30,6 +30,9 @@ func run() error {
 		jsonOut   = flag.Bool("json", false, "emit the summary as JSON instead of a table")
 	)
 	flag.Parse()
+	if *memGB < 1 {
+		return fmt.Errorf("-mem-gb %d: physical memory must be at least 1 GiB", *memGB)
+	}
 
 	frames := uint64(*memGB) << 30 / pte.PageSize
 	alloc, err := ostable.NewFrameAllocator(4096, frames-4096)

@@ -179,6 +179,14 @@ func TestCommandLineTools(t *testing.T) {
 		"-faults", "nonsense.point").Run(); err == nil {
 		t.Error("ptguard-soak accepted an unknown fault point")
 	}
+	for _, gb := range []string{"0", "-1"} {
+		out, err := exec.Command(filepath.Join(binDir, "ptguard-profile"), "-mem-gb", gb).CombinedOutput()
+		if err == nil {
+			t.Errorf("ptguard-profile accepted -mem-gb %s", gb)
+		} else if !strings.Contains(string(out), "at least 1 GiB") {
+			t.Errorf("ptguard-profile -mem-gb %s: unclear error %q", gb, out)
+		}
+	}
 
 	// Kill-resume determinism: a soak cycle that really SIGKILLs the
 	// campaign mid-journal-write (short write included) and corrupts the

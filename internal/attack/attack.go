@@ -12,12 +12,12 @@ import (
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
 	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
 	"ptguard/internal/ostable"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
+	"ptguard/internal/testbed"
 	"ptguard/internal/tlb"
 )
 
@@ -65,24 +65,15 @@ func NewWorld(protected, correction bool, seed uint64) (*World, error) {
 // NewWorldWith builds the sandbox from an explicit configuration.
 func NewWorldWith(cfg WorldConfig) (*World, error) {
 	protected, correction, seed := cfg.Protected, cfg.Correction, cfg.Seed
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
-	if err != nil {
-		return nil, err
-	}
 	var guard *core.Guard
 	if protected {
-		format, ferr := pte.FormatX86(40)
-		if ferr != nil {
-			return nil, ferr
-		}
-		key := make([]byte, mac.KeySize)
-		kr := stats.NewRNG(seed ^ 0x6B65)
-		for i := range key {
-			key[i] = byte(kr.Uint64())
+		format, err := pte.FormatX86(40)
+		if err != nil {
+			return nil, err
 		}
 		guard, err = core.NewGuard(core.Config{
 			Format:           format,
-			Key:              key,
+			Key:              testbed.Key(stats.NewRNG(seed ^ 0x6B65)),
 			EnableCorrection: correction,
 			SoftMatchK:       softK(correction),
 		})
@@ -90,14 +81,11 @@ func NewWorldWith(cfg WorldConfig) (*World, error) {
 			return nil, err
 		}
 	}
-	ctrl, err := memctrl.New(dev, guard, 0)
+	m, err := testbed.New(guard, 0)
 	if err != nil {
 		return nil, err
 	}
-	alloc, err := ostable.NewFrameAllocator(4096, dev.Geometry().Capacity()/pte.PageSize-4096)
-	if err != nil {
-		return nil, err
-	}
+	dev, ctrl, alloc := m.Dev, m.Ctrl, m.Alloc
 	tables, err := ostable.NewPageTables(alloc)
 	if err != nil {
 		return nil, err
@@ -112,14 +100,8 @@ func NewWorldWith(cfg WorldConfig) (*World, error) {
 			return nil, merr
 		}
 	}
-	var flushAddrs []uint64
-	var flushLines []pte.Line
-	tables.Lines(func(addr uint64, line pte.Line) {
-		flushAddrs = append(flushAddrs, addr)
-		flushLines = append(flushLines, line)
-	})
-	if _, werr := ctrl.WriteLinesBatch(flushAddrs, flushLines); werr != nil {
-		return nil, werr
+	if err := testbed.Install(ctrl, tables); err != nil {
+		return nil, err
 	}
 	hcfg := cfg.Hammer
 	if hcfg.Seed == 0 {

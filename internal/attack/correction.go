@@ -5,12 +5,9 @@ import (
 	"strconv"
 
 	"ptguard/internal/core"
-	"ptguard/internal/dram"
-	"ptguard/internal/mac"
-	"ptguard/internal/memctrl"
-	"ptguard/internal/ostable"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
+	"ptguard/internal/testbed"
 )
 
 // Fig. 9's fault probabilities (§VI-F): the worst-case Rowhammer per-bit
@@ -91,22 +88,13 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 	if k == 0 {
 		k = 4
 	}
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
-	if err != nil {
-		return CorrectionResult{}, err
-	}
 	format, err := pte.FormatX86(40)
 	if err != nil {
 		return CorrectionResult{}, err
 	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(cfg.Seed ^ 0xF19)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
 	guardCfg := core.Config{
 		Format:              format,
-		Key:                 key,
+		Key:                 testbed.Key(stats.NewRNG(cfg.Seed ^ 0xF19)),
 		TagBits:             cfg.TagBits,
 		EnableCorrection:    true,
 		SoftMatchK:          k,
@@ -119,58 +107,16 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 	if err != nil {
 		return CorrectionResult{}, err
 	}
-	ctrl, err := memctrl.New(dev, guard, 0)
+	m, err := testbed.New(guard, 0)
 	if err != nil {
 		return CorrectionResult{}, err
 	}
-	alloc, err := ostable.NewFrameAllocator(4096, dev.Geometry().Capacity()/pte.PageSize-4096)
-	if err != nil {
-		return CorrectionResult{}, err
-	}
-	pop, err := ostable.NewPopulation(popConfig(cfg.Seed), alloc)
-	if err != nil {
-		return CorrectionResult{}, err
-	}
-	// Build a fixed pool of protected PTE lines from several synthetic
+	// A fixed pool of protected PTE lines from several synthetic
 	// processes, so every flip probability is evaluated over the same
 	// line population (no sample-composition bias between sweep points).
-	type pooled struct {
-		addr      uint64
-		arch      pte.Line
-		protected pte.Line
-	}
-	const poolProcesses = 6
-	var pool []pooled
-	for p := 0; p < poolProcesses; p++ {
-		tables, serr := pop.SynthesizeProcess()
-		if serr != nil {
-			return CorrectionResult{}, serr
-		}
-		var flushAddrs []uint64
-		var flushLines []pte.Line
-		tables.Lines(func(addr uint64, line pte.Line) {
-			flushAddrs = append(flushAddrs, addr)
-			flushLines = append(flushLines, line)
-		})
-		if _, werr := ctrl.WriteLinesBatch(flushAddrs, flushLines); werr != nil {
-			return CorrectionResult{}, werr
-		}
-		tables.LeafLines(func(addr uint64, archLine pte.Line) {
-			pool = append(pool, pooled{addr: addr, arch: archLine, protected: dev.ReadLine(addr)})
-		})
-		// Keep tables alive: freeing would recycle frames and alias
-		// pool addresses across processes.
-	}
-	if len(pool) == 0 {
-		return CorrectionResult{}, errors.New("attack: empty line pool")
-	}
-	// Shuffle deterministically (independent of FlipProb) so small runs
-	// sample a representative mix of zero-heavy and dense lines, and all
-	// sweep points visit the same lines in the same order.
-	shuf := stats.NewRNG(cfg.Seed ^ 0x5F0F)
-	for i := len(pool) - 1; i > 0; i-- {
-		j := shuf.Intn(i + 1)
-		pool[i], pool[j] = pool[j], pool[i]
+	pool, err := testbed.Pool(m, cfg.Seed)
+	if err != nil {
+		return CorrectionResult{}, err
 	}
 
 	// Sharded trial loop. Each trial is a pure function of (pool entry,
@@ -183,14 +129,14 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 		func(g *core.Guard, t int) (trialVerdict, error) {
 			entry := pool[t%len(pool)]
 			rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "fig9/trial/"+strconv.Itoa(t)))
-			faulty := flipLineBernoulli(entry.protected, cfg.FlipProb, rng)
+			faulty := testbed.FlipBernoulli(entry.Protected, cfg.FlipProb, rng)
 			before := g.Counters().CorrectionGuesses
-			rd := g.OnRead(faulty, entry.addr, true)
+			rd := g.OnRead(faulty, entry.Addr, true)
 			v := trialVerdict{guesses: g.Counters().CorrectionGuesses - before}
 			switch {
 			case rd.CheckFailed:
 				v.detected = true
-			case payloadMatches(rd.Line, entry.arch, format):
+			case format.PayloadEqual(rd.Line, entry.Arch):
 				v.corrected = true
 			}
 			return v, nil
@@ -218,41 +164,4 @@ type trialVerdict struct {
 	detected  bool
 	corrected bool
 	guesses   uint64
-}
-
-// flipLineBernoulli flips each bit of line independently with probability
-// p, redrawing the whole pattern until at least one bit flips: the §VI-F
-// per-line fault injection, conditioned on the line being erroneous.
-func flipLineBernoulli(line pte.Line, p float64, rng *stats.RNG) pte.Line {
-	for {
-		flipped := false
-		out := line
-		for bit := 0; bit < pte.LineBytes*8; bit++ {
-			if rng.Bernoulli(p) {
-				out[bit/64] = pte.Entry(uint64(out[bit/64]) ^ 1<<uint(bit%64))
-				flipped = true
-			}
-		}
-		if flipped {
-			return out
-		}
-	}
-}
-
-func popConfig(seed uint64) ostable.SynthConfig {
-	c := ostable.DefaultSynthConfig()
-	c.Seed = seed
-	return c
-}
-
-// payloadMatches compares the MAC-covered bits of the served line against
-// the architectural original (the accessed bit and the base design's
-// ignored field are uncovered by construction, Table IV).
-func payloadMatches(got, want pte.Line, format pte.Format) bool {
-	for i := range got {
-		if uint64(got[i])&format.ProtectedMask != uint64(want[i])&format.ProtectedMask {
-			return false
-		}
-	}
-	return true
 }

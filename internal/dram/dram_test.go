@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ptguard/internal/mitigate"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
 )
@@ -210,15 +211,12 @@ func TestTRRBlocksClassicHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trr, err := NewTRR(d, h, ThresholdDDR4/4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trr := newTRR(t, d, h, ThresholdDDR4/4)
 	victim := d.AddrOfRow(5, 300, 0)
 	var data pte.Line
 	d.WriteLine(victim, data)
 	agg := d.AddrOfRow(5, 299, 0)
-	flipped := trr.HammerWithTRR(agg, 10*ThresholdDDR4)
+	flipped := trr.Hammer(agg, 10*ThresholdDDR4)
 	for _, r := range flipped {
 		if r == 300 {
 			t.Fatal("TRR failed to protect the distance-1 victim")
@@ -243,16 +241,13 @@ func TestHalfDoubleDefeatsTRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trr, err := NewTRR(d, h, sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trr := newTRR(t, d, h, sampler)
 	// The true victim sits at distance 2 from the aggressor.
 	victim := d.AddrOfRow(5, 302, 0)
 	var data pte.Line
 	d.WriteLine(victim, data)
 	agg := d.AddrOfRow(5, 300, 0)
-	flipped := trr.HammerWithTRR(agg, 2*sampler*flipThreshold)
+	flipped := trr.Hammer(agg, 2*sampler*flipThreshold)
 	hitVictim := false
 	for _, r := range flipped {
 		if r == 302 {
@@ -278,7 +273,7 @@ func TestHammererValidation(t *testing.T) {
 	if _, err := NewHammerer(d, HammerConfig{FlipProb: 1.5}); err == nil {
 		t.Error("flip prob > 1 accepted")
 	}
-	if _, err := NewTRR(d, nil, 10); err == nil {
+	if _, err := NewMitigatedHammerer(d, nil, MitigationConfig{}); err == nil {
 		t.Error("nil hammerer accepted")
 	}
 }
@@ -308,22 +303,19 @@ func TestSoftTRRProtectsRegisteredPTERow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSoftTRR(d, h, sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newSoftTRR(t, d, h, sampler)
 	pteRow := d.AddrOfRow(3, 400, 0)
 	var data pte.Line
 	d.WriteLine(pteRow, data)
-	st.RegisterPTERow(pteRow)
+	st.registerPTERow(pteRow)
 	agg := d.AddrOfRow(3, 399, 0)
-	flipped := st.HammerWithSoftTRR(agg, 5*flipThreshold)
+	flipped := st.Hammer(agg, 5*flipThreshold)
 	for _, r := range flipped {
 		if r == 400 {
 			t.Fatal("registered PTE row flipped despite SoftTRR")
 		}
 	}
-	if st.Mitigations() == 0 {
+	if st.Refreshes() == 0 {
 		t.Error("SoftTRR never mitigated")
 	}
 }
@@ -337,15 +329,12 @@ func TestSoftTRRIgnoresUnregisteredRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSoftTRR(d, h, flipThreshold/10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newSoftTRR(t, d, h, flipThreshold/10)
 	victim := d.AddrOfRow(3, 500, 0)
 	var data pte.Line
 	d.WriteLine(victim, data)
 	agg := d.AddrOfRow(3, 499, 0)
-	flipped := st.HammerWithSoftTRR(agg, 2*flipThreshold)
+	flipped := st.Hammer(agg, 2*flipThreshold)
 	found := false
 	for _, r := range flipped {
 		if r == 500 {
@@ -369,19 +358,16 @@ func TestHalfDoubleDefeatsSoftTRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSoftTRR(d, h, sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newSoftTRR(t, d, h, sampler)
 	near := d.AddrOfRow(4, 601, 0) // distance 1: registered and mitigated
 	far := d.AddrOfRow(4, 602, 0)  // distance 2: the Half-Double victim
 	var data pte.Line
 	d.WriteLine(near, data)
 	d.WriteLine(far, data)
-	st.RegisterPTERow(near)
-	st.RegisterPTERow(far)
+	st.registerPTERow(near)
+	st.registerPTERow(far)
 	agg := d.AddrOfRow(4, 600, 0)
-	flipped := st.HammerWithSoftTRR(agg, 2*sampler*flipThreshold)
+	flipped := st.Hammer(agg, 2*sampler*flipThreshold)
 	hitFar := false
 	for _, r := range flipped {
 		if r == 601 {
@@ -399,10 +385,10 @@ func TestHalfDoubleDefeatsSoftTRR(t *testing.T) {
 func TestSoftTRRValidation(t *testing.T) {
 	d := newTestDevice(t)
 	h, _ := NewHammerer(d, HammerConfig{Seed: 1})
-	if _, err := NewSoftTRR(nil, h, 10); err == nil {
+	if _, err := NewMitigatedHammerer(nil, h, MitigationConfig{}); err == nil {
 		t.Error("nil device accepted")
 	}
-	if _, err := NewSoftTRR(d, h, 0); err == nil {
+	if _, err := mitigate.NewSoftTRR(trrConfig(d, 0)); err == nil {
 		t.Error("zero sampler accepted")
 	}
 }

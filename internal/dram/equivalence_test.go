@@ -4,15 +4,72 @@ import (
 	"reflect"
 	"testing"
 
+	"ptguard/internal/mitigate"
 	"ptguard/internal/pte"
 )
 
-// This file pins the TRR/SoftTRR refactor onto the MitigatedHammerer
-// engine: the legacy hand-rolled loops are preserved verbatim below and
-// every (sampler, count, layout) grid point must produce identical
+// This file pins hardware TRR and SoftTRR, built from the mitigate plugins
+// on the MitigatedHammerer engine, against the hand-rolled loops they
+// replaced: the legacy loops are preserved verbatim below as the reference,
+// and every (sampler, count, layout) grid point must produce identical
 // flipped-row sequences, refresh counts, and memory images. The pinned
 // regime is the meaningful one — sampler threshold below the flip
 // threshold — which both legacy models assumed.
+
+// trrConfig is the tracker configuration for a TRR-style mitigation over
+// d's banks at the given sampler threshold.
+func trrConfig(d *Device, sampler int) mitigate.Config {
+	return mitigate.Config{
+		Banks:       d.geo.Channels * d.geo.BanksPerChannel,
+		RowsPerBank: d.geo.RowsPerBank,
+		Threshold:   sampler,
+	}
+}
+
+// newTRR builds hardware TRR as the legacy model had it: the sampler plugin
+// with unlimited capacity (TableSize = RowsPerBank, so it never misses a
+// row) driving the mitigated engine.
+func newTRR(tb testing.TB, d *Device, h *Hammerer, sampler int) *MitigatedHammerer {
+	tb.Helper()
+	cfg := trrConfig(d, sampler)
+	cfg.TableSize = d.geo.RowsPerBank
+	tracker, err := mitigate.NewTRRSampler(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mh, err := NewMitigatedHammerer(d, h, MitigationConfig{Mitigator: tracker})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mh
+}
+
+// softTRR is the software mitigation: the kernel registers page-table rows
+// with the tracker, and the engine refreshes only those.
+type softTRR struct {
+	*MitigatedHammerer
+	dev     *Device
+	tracker *mitigate.SoftTRR
+}
+
+func newSoftTRR(tb testing.TB, d *Device, h *Hammerer, sampler int) softTRR {
+	tb.Helper()
+	tracker, err := mitigate.NewSoftTRR(trrConfig(d, sampler))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mh, err := NewMitigatedHammerer(d, h, MitigationConfig{Mitigator: tracker})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return softTRR{MitigatedHammerer: mh, dev: d, tracker: tracker}
+}
+
+// registerPTERow marks the row holding addr as a page-table row.
+func (s softTRR) registerPTERow(addr uint64) {
+	loc := s.dev.Locate(addr)
+	s.tracker.RegisterRow(loc.Channel*s.dev.geo.BanksPerChannel+loc.Bank, loc.Row)
+}
 
 // legacyTRR is the pre-refactor dram.TRR, verbatim.
 type legacyTRR struct {
@@ -170,11 +227,8 @@ func TestTRREquivalenceWithLegacy(t *testing.T) {
 					lt := &legacyTRR{dev: d, hmr: h, samplerThreshold: tc.sampler}
 					return lt.hammer(agg, tc.count), lt.refreshes, worldSnapshot(d)
 				}
-				trr, err := NewTRR(d, h, tc.sampler)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return trr.HammerWithTRR(agg, tc.count), trr.Refreshes(), worldSnapshot(d)
+				trr := newTRR(t, d, h, tc.sampler)
+				return trr.Hammer(agg, tc.count), trr.Refreshes(), worldSnapshot(d)
 			}
 			wantFlips, wantRefreshes, wantMem := run(true)
 			gotFlips, gotRefreshes, gotMem := run(false)
@@ -227,14 +281,11 @@ func TestSoftTRREquivalenceWithLegacy(t *testing.T) {
 					}
 					return ls.hammer(agg, tc.count), ls.mitigations, worldSnapshot(d)
 				}
-				st, err := NewSoftTRR(d, h, tc.sampler)
-				if err != nil {
-					t.Fatal(err)
-				}
+				st := newSoftTRR(t, d, h, tc.sampler)
 				for _, r := range tc.registered {
-					st.RegisterPTERow(d.AddrOfRow(4, r, 0))
+					st.registerPTERow(d.AddrOfRow(4, r, 0))
 				}
-				return st.HammerWithSoftTRR(agg, tc.count), st.Mitigations(), worldSnapshot(d)
+				return st.Hammer(agg, tc.count), st.Refreshes(), worldSnapshot(d)
 			}
 			wantFlips, wantMitigations, wantMem := run(true)
 			gotFlips, gotMitigations, gotMem := run(false)

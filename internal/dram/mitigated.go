@@ -57,8 +57,8 @@ type MitigationStats struct {
 // any row whose accumulated loss crosses the hammerer's flip threshold
 // takes fault-model bit flips and its charge resets.
 //
-// The engine replaces the hand-rolled loops TRR and SoftTRR used to
-// duplicate: both are now thin constructors over this type (equivalence
+// The engine replaces the hand-rolled TRR and SoftTRR loops: both are now
+// a mitigate tracker driving this type (equivalence with the old loops is
 // pinned in equivalence_test.go).
 type MitigatedHammerer struct {
 	dev *Device

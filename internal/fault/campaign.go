@@ -6,12 +6,10 @@ import (
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
-	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
-	"ptguard/internal/ostable"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
+	"ptguard/internal/testbed"
 )
 
 // CampaignConfig parameterises one fault-injection campaign: a single flip
@@ -92,22 +90,13 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	if k == 0 {
 		k = 4
 	}
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
-	if err != nil {
-		return CampaignResult{}, err
-	}
 	format, err := pte.FormatX86(40)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(cfg.Seed ^ 0xF19)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
 	guard, err := core.NewGuard(core.Config{
 		Format:           format,
-		Key:              key,
+		Key:              testbed.Key(stats.NewRNG(cfg.Seed ^ 0xF19)),
 		TagBits:          cfg.TagBits,
 		EnableCorrection: cfg.EnableCorrection,
 		SoftMatchK:       k,
@@ -115,25 +104,16 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	ctrl, err := memctrl.New(dev, guard, 0)
+	m, err := testbed.New(guard, 0)
 	if err != nil {
 		return CampaignResult{}, err
 	}
+	dev, ctrl := m.Dev, m.Ctrl
 	var observer *obs.Observer
 	if cfg.Obs != nil {
 		observer = obs.New(*cfg.Obs)
 		// No core clock here: the internal monotonic tick orders events.
 		ctrl.SetObserver(observer)
-	}
-	alloc, err := ostable.NewFrameAllocator(4096, dev.Geometry().Capacity()/pte.PageSize-4096)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	synth := ostable.DefaultSynthConfig()
-	synth.Seed = cfg.Seed
-	pop, err := ostable.NewPopulation(synth, alloc)
-	if err != nil {
-		return CampaignResult{}, err
 	}
 	hmr, err := dram.NewHammerer(dev, dram.HammerConfig{
 		Model: cfg.Model,
@@ -146,37 +126,11 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	oracle := NewOracle(format)
 	hmr.SetObserver(oracle.RecordFlip)
 
-	// Fixed pool of protected PTE lines from several synthetic processes,
-	// as in attack.RunCorrection: every model sees the same population.
-	type pooled struct {
-		addr      uint64
-		protected pte.Line
-	}
-	const poolProcesses = 6
-	var pool []pooled
-	for p := 0; p < poolProcesses; p++ {
-		tables, serr := pop.SynthesizeProcess()
-		if serr != nil {
-			return CampaignResult{}, serr
-		}
-		var flushAddrs []uint64
-		var flushLines []pte.Line
-		tables.Lines(func(addr uint64, line pte.Line) {
-			flushAddrs = append(flushAddrs, addr)
-			flushLines = append(flushLines, line)
-		})
-		if _, werr := ctrl.WriteLinesBatch(flushAddrs, flushLines); werr != nil {
-			return CampaignResult{}, werr
-		}
-		tables.LeafLines(func(addr uint64, archLine pte.Line) {
-			oracle.Expect(addr, archLine)
-			pool = append(pool, pooled{addr: addr, protected: dev.ReadLine(addr)})
-		})
-		// Keep tables alive: freeing would recycle frames and alias pool
-		// addresses across processes.
-	}
-	if len(pool) == 0 {
-		return CampaignResult{}, errors.New("fault: empty line pool")
+	// The fixed pool of protected PTE lines attack.RunCorrection uses:
+	// every model sees the same population.
+	pool, err := testbed.Pool(m, cfg.Seed)
+	if err != nil {
+		return CampaignResult{}, err
 	}
 	// Ground-truth sanity: before any fault is injected, every pooled line
 	// must batch-audit clean — a dirty line here means the pool snapshot and
@@ -185,8 +139,9 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	auditAddrs := make([]uint64, len(pool))
 	auditLines := make([]pte.Line, len(pool))
 	for i, entry := range pool {
-		auditAddrs[i] = entry.addr
-		auditLines[i] = entry.protected
+		oracle.Expect(entry.Addr, entry.Arch)
+		auditAddrs[i] = entry.Addr
+		auditLines[i] = entry.Protected
 	}
 	auditOK := make([]bool, len(pool))
 	guard.AuditBatch(auditOK, auditLines, auditAddrs)
@@ -195,11 +150,6 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 			return CampaignResult{}, fmt.Errorf("fault: pooled line %#x audits dirty before fault injection", auditAddrs[i])
 		}
 	}
-	shuf := stats.NewRNG(cfg.Seed ^ 0x5F0F)
-	for i := len(pool) - 1; i > 0; i-- {
-		j := shuf.Intn(i + 1)
-		pool[i], pool[j] = pool[j], pool[i]
-	}
 
 	res := CampaignResult{Model: cfg.Model.Name(), Mode: modeName(cfg.EnableCorrection)}
 	for trial := 0; int(oracle.Matrix().Faulty()) < cfg.Lines; trial++ {
@@ -207,16 +157,16 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 			break // model too weak to reach Lines faulty trials; report what we have
 		}
 		entry := pool[trial%len(pool)]
-		dev.WriteLine(entry.addr, entry.protected)
-		hmr.InjectFaults(entry.addr)
+		dev.WriteLine(entry.Addr, entry.Protected)
+		hmr.InjectFaults(entry.Addr)
 
 		before := guard.Counters()
-		got, _, ok := ctrl.ReadLine(entry.addr, true)
+		got, _, ok := ctrl.ReadLine(entry.Addr, true)
 		after := guard.Counters()
 		res.Guesses += after.CorrectionGuesses - before.CorrectionGuesses
 		claimed := after.Corrections > before.Corrections
 
-		if _, jerr := oracle.Judge(entry.addr, got, !ok, claimed); jerr != nil {
+		if _, jerr := oracle.Judge(entry.Addr, got, !ok, claimed); jerr != nil {
 			return CampaignResult{}, jerr
 		}
 		res.Trials++
@@ -225,7 +175,7 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 			observer.Snapshot(observer.Now(), uint64(res.Trials))
 		}
 		// Restore the pristine protected image for the next pass.
-		dev.WriteLine(entry.addr, entry.protected)
+		dev.WriteLine(entry.Addr, entry.Protected)
 	}
 
 	res.Matrix = oracle.Matrix()

@@ -179,7 +179,7 @@ func (o *Oracle) Judge(addr uint64, served pte.Line, checkFailed, correctionClai
 		out = CleanPass
 	case checkFailed:
 		out = Detected
-	case o.payloadMatches(served, arch):
+	case o.format.PayloadEqual(served, arch):
 		out = Corrected
 	case correctionClaimed:
 		out = Miscorrected
@@ -205,17 +205,6 @@ func (o *Oracle) bump(out Outcome) {
 	case SilentCorruption:
 		o.m.Silent++
 	}
-}
-
-// payloadMatches compares only the MAC-covered bits: the accessed bit and
-// other uncovered fields are out of scope by construction (Table IV).
-func (o *Oracle) payloadMatches(got, want pte.Line) bool {
-	for i := range got {
-		if uint64(got[i])&o.format.ProtectedMask != uint64(want[i])&o.format.ProtectedMask {
-			return false
-		}
-	}
-	return true
 }
 
 // Matrix returns a snapshot of the confusion matrix.

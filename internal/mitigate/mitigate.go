@@ -108,9 +108,8 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ValidateThreshold is the shared sampler/threshold check that used to be
-// copy-pasted between dram.TRR and dram.SoftTRR: a mitigation threshold
-// must be positive to mean anything.
+// ValidateThreshold is the sampler/threshold check the threshold-driven
+// trackers share: a mitigation threshold must be positive to mean anything.
 func ValidateThreshold(threshold int) error {
 	if threshold <= 0 {
 		return errors.New("mitigate: sampler threshold must be positive")

@@ -34,6 +34,9 @@ func NewFrameAllocator(base, frames uint64) (*FrameAllocator, error) {
 	if frames == 0 {
 		return nil, errors.New("ostable: zero frames")
 	}
+	if base+frames < base {
+		return nil, errors.New("ostable: frame range overflows the PFN space")
+	}
 	a := &FrameAllocator{base: base, frames: frames}
 	for o := range a.free {
 		a.free[o] = make(map[uint64]bool)
@@ -45,7 +48,7 @@ func NewFrameAllocator(base, frames uint64) (*FrameAllocator, error) {
 		o := MaxOrder
 		for o > 0 {
 			size := uint64(1) << uint(o)
-			if pfn%size == 0 && pfn+size <= end {
+			if pfn%size == 0 && size <= end-pfn {
 				break
 			}
 			o--

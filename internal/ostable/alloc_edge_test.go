@@ -40,6 +40,24 @@ func TestAllocExactMaxOrder(t *testing.T) {
 	}
 }
 
+// TestAllocatorRejectsOverflowingRange covers a frame range running past
+// the top of the PFN space, such as a frame count computed as a negative
+// difference: the constructor must fail instead of seeding free lists over
+// a wrapped range.
+func TestAllocatorRejectsOverflowingRange(t *testing.T) {
+	const base, top = 4096, ^uint64(0)
+	// top-base+1 is what `frames - base` yields for frames = 0.
+	for _, frames := range []uint64{top - base + 1, top} {
+		if _, err := NewFrameAllocator(base, frames); err == nil {
+			t.Errorf("NewFrameAllocator(%d, %#x) accepted an overflowing range", base, frames)
+		}
+	}
+	// A range ending just below the wrap is still valid.
+	if _, err := NewFrameAllocator(top-15, 15); err != nil {
+		t.Errorf("range ending at the top of the PFN space rejected: %v", err)
+	}
+}
+
 // TestAllocOOMAtEveryOrder exhausts the allocator and checks every order
 // reports ErrOutOfMemory (not a panic, not a wrong block).
 func TestAllocOOMAtEveryOrder(t *testing.T) {

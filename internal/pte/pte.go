@@ -187,6 +187,19 @@ func (f Format) IdentifierBitsPerLine() int { return popcount(f.IdentifierMask) 
 // (44 for x86_64 with M=40: 28 PFN + 16 flag bits, §VI-D step 2).
 func (f Format) ProtectedBitsPerPTE() int { return popcount(f.ProtectedMask) }
 
+// PayloadEqual reports whether a and b agree on every MAC-covered bit. The
+// accessed bit and the base design's ignored field are uncovered by
+// construction (Table IV), so a served line differing only there still
+// carries the architectural payload.
+func (f Format) PayloadEqual(a, b Line) bool {
+	for i := range a {
+		if uint64(a[i])&f.ProtectedMask != uint64(b[i])&f.ProtectedMask {
+			return false
+		}
+	}
+	return true
+}
+
 func popcount(x uint64) int {
 	n := 0
 	for ; x != 0; x &= x - 1 {

@@ -180,3 +180,28 @@ func TestFormatARMv8Validation(t *testing.T) {
 		t.Error("FormatARMv8(12) expected error")
 	}
 }
+
+func TestPayloadEqualIgnoresUncoveredBits(t *testing.T) {
+	f, err := FormatX86(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arch Line
+	for i := range arch {
+		arch[i] = Entry(0).WithPFN(uint64(0x1000+i)).SetBit(BitPresent, true).SetBit(BitWritable, true)
+	}
+	served := arch
+	served[0] = served[0].SetBit(BitAccessed, true) // set by the walker
+	served[3] |= Entry(MaskIdentifier)              // the base design's ignored field
+	served[5] |= Entry(MaskMAC)                     // embedded MAC bits
+	if !f.PayloadEqual(served, arch) {
+		t.Error("difference in uncovered bits reported as a payload change")
+	}
+	for _, bit := range []int{BitWritable, BitUserAccessible, PageShift, BitNX} {
+		tampered := served
+		tampered[7] ^= 1 << uint(bit)
+		if f.PayloadEqual(tampered, arch) {
+			t.Errorf("protected bit %d flip not caught", bit)
+		}
+	}
+}

@@ -5,9 +5,9 @@ import (
 	"strconv"
 
 	"ptguard/internal/core"
-	"ptguard/internal/mac"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
+	"ptguard/internal/testbed"
 	"ptguard/internal/workload"
 )
 
@@ -102,14 +102,9 @@ func RunTraceCorrection(cfg TraceCorrectionConfig) (TraceCorrectionResult, error
 	if err != nil {
 		return TraceCorrectionResult{}, err
 	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(cfg.Seed ^ 0x916)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
 	guardCfg := core.Config{
 		Format:           format,
-		Key:              key,
+		Key:              testbed.Key(stats.NewRNG(cfg.Seed ^ 0x916)),
 		EnableCorrection: true,
 		SoftMatchK:       4,
 	}
@@ -151,12 +146,12 @@ func RunTraceCorrection(cfg TraceCorrectionConfig) (TraceCorrectionResult, error
 		func(g *core.Guard, t int) (verdict, error) {
 			entry := pool[t%len(pool)]
 			rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "fig9-trace/trial/"+strconv.Itoa(t)))
-			faulty := flipLine(entry.protected, cfg.FlipProb, rng)
+			faulty := testbed.FlipBernoulli(entry.protected, cfg.FlipProb, rng)
 			rd := g.OnRead(faulty, entry.addr, true)
 			switch {
 			case rd.CheckFailed:
 				return verdict{detected: true}, nil
-			case payloadEqual(rd.Line, entry.arch, format):
+			case format.PayloadEqual(rd.Line, entry.arch):
 				return verdict{corrected: true}, nil
 			}
 			return verdict{}, nil
@@ -180,32 +175,4 @@ func RunTraceCorrection(cfg TraceCorrectionConfig) (TraceCorrectionResult, error
 		}
 	}
 	return res, nil
-}
-
-// flipLine flips each bit of line independently with probability p,
-// redrawing until at least one bit flips (§VI-F, conditioned on the line
-// being erroneous).
-func flipLine(line pte.Line, p float64, rng *stats.RNG) pte.Line {
-	for {
-		flipped := false
-		out := line
-		for bit := 0; bit < pte.LineBytes*8; bit++ {
-			if rng.Bernoulli(p) {
-				out[bit/64] = pte.Entry(uint64(out[bit/64]) ^ 1<<uint(bit%64))
-				flipped = true
-			}
-		}
-		if flipped {
-			return out
-		}
-	}
-}
-
-func payloadEqual(got, want pte.Line, f pte.Format) bool {
-	for i := range got {
-		if uint64(got[i])&f.ProtectedMask != uint64(want[i])&f.ProtectedMask {
-			return false
-		}
-	}
-	return true
 }

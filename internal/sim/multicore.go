@@ -6,8 +6,6 @@ import (
 
 	"ptguard/internal/dram"
 	"ptguard/internal/memctrl"
-	"ptguard/internal/ostable"
-	"ptguard/internal/pte"
 	"ptguard/internal/workload"
 )
 
@@ -35,28 +33,15 @@ func NewMultiSystem(cfg Config, profiles []workload.Profile) (*MultiSystem, erro
 	if cfg.Mode == 0 {
 		return nil, errors.New("sim: config needs a Mode")
 	}
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
+	m, err := buildMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	guard, err := buildGuard(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := memctrl.New(dev, guard, cfg.ContentionCycles)
-	if err != nil {
-		return nil, err
-	}
-	totalFrames := dev.Geometry().Capacity() / pte.PageSize
-	alloc, err := ostable.NewFrameAllocator(4096, totalFrames-4096)
-	if err != nil {
-		return nil, err
-	}
-	ms := &MultiSystem{dev: dev, ctrl: ctrl}
+	ms := &MultiSystem{dev: m.Dev, ctrl: m.Ctrl}
 	for i, prof := range profiles {
 		coreCfg := cfg
 		coreCfg.Seed = cfg.Seed + uint64(i)*7919
-		core, cerr := newSystemShared(coreCfg, prof, dev, ctrl, alloc, i)
+		core, cerr := newSystemShared(coreCfg, prof, m, i)
 		if cerr != nil {
 			return nil, cerr
 		}

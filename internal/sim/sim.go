@@ -14,12 +14,12 @@ import (
 	"ptguard/internal/core"
 	"ptguard/internal/cpu"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
 	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
 	"ptguard/internal/ostable"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
+	"ptguard/internal/testbed"
 	"ptguard/internal/tlb"
 	"ptguard/internal/workload"
 )
@@ -153,29 +153,16 @@ func NewSystem(cfg Config, prof workload.Profile) (*System, error) {
 	if cfg.PhysAddrBits == 0 {
 		cfg.PhysAddrBits = 32
 	}
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
+	m, err := buildMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	guard, err := buildGuard(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := memctrl.New(dev, guard, cfg.ContentionCycles)
-	if err != nil {
-		return nil, err
-	}
-	totalFrames := dev.Geometry().Capacity() / pte.PageSize
-	alloc, err := ostable.NewFrameAllocator(4096, totalFrames-4096)
-	if err != nil {
-		return nil, err
-	}
-	return newSystemShared(cfg, prof, dev, ctrl, alloc, 0)
+	return newSystemShared(cfg, prof, m, 0)
 }
 
 // newSystemShared builds a per-core system over shared DRAM, controller and
 // frame allocator (the multicore configuration of §VII-C).
-func newSystemShared(cfg Config, prof workload.Profile, dev *dram.Device, ctrl *memctrl.Controller, alloc *ostable.FrameAllocator, coreIdx int) (*System, error) {
+func newSystemShared(cfg Config, prof workload.Profile, m testbed.Machine, coreIdx int) (*System, error) {
 	coreModel, err := cpu.New(cfg.Core)
 	if err != nil {
 		return nil, err
@@ -198,9 +185,9 @@ func newSystemShared(cfg Config, prof workload.Profile, dev *dram.Device, ctrl *
 		l1d:          mkCache(cache.L1Config),
 		l2:           mkCache(cache.L2Config),
 		l3:           mkCache(cache.L3Config),
-		ctrl:         ctrl,
-		dev:          dev,
-		alloc:        alloc,
+		ctrl:         m.Ctrl,
+		dev:          m.Dev,
+		alloc:        m.Alloc,
 		rng:          stats.NewRNG(cfg.Seed ^ 0xD1CE),
 		vbase:        0x10_0000_0000 + uint64(coreIdx)<<40,
 		cleanPTE:     make(map[uint64]pte.Line),
@@ -214,7 +201,7 @@ func newSystemShared(cfg Config, prof workload.Profile, dev *dram.Device, ctrl *
 		// Events are stamped with this core's cycle count. With a shared
 		// controller (multicore), the last core built owns the clock.
 		s.obs.SetClock(func() uint64 { return uint64(coreModel.Cycles()) })
-		ctrl.SetObserver(s.obs)
+		m.Ctrl.SetObserver(s.obs)
 	}
 	s.walker, err = tlb.NewWalker(s.readPTELine)
 	if err != nil {
@@ -226,30 +213,31 @@ func newSystemShared(cfg Config, prof workload.Profile, dev *dram.Device, ctrl *
 	return s, nil
 }
 
-func buildGuard(cfg Config) (*core.Guard, error) {
-	if cfg.Mode == Baseline {
-		return nil, nil
+// buildMachine assembles the shared memory system: the default device and
+// frame allocator behind a controller guarded as cfg.Mode selects.
+func buildMachine(cfg Config) (testbed.Machine, error) {
+	var guard *core.Guard
+	if cfg.Mode != Baseline {
+		format, err := pte.FormatX86(40)
+		if err != nil {
+			return testbed.Machine{}, err
+		}
+		kr := stats.NewRNG(cfg.Seed ^ 0x5EC)
+		gcfg := core.Config{
+			Format:           format,
+			Key:              testbed.Key(kr),
+			MACLatencyCycles: cfg.MACLatencyCycles,
+		}
+		if cfg.Mode == PTGuardOptimized {
+			gcfg.OptIdentifier = true
+			gcfg.Identifier = kr.Uint64() & (1<<56 - 1)
+			gcfg.OptZeroMAC = true
+		}
+		if guard, err = core.NewGuard(gcfg); err != nil {
+			return testbed.Machine{}, err
+		}
 	}
-	format, err := pte.FormatX86(40)
-	if err != nil {
-		return nil, err
-	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(cfg.Seed ^ 0x5EC)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
-	gcfg := core.Config{
-		Format:           format,
-		Key:              key,
-		MACLatencyCycles: cfg.MACLatencyCycles,
-	}
-	if cfg.Mode == PTGuardOptimized {
-		gcfg.OptIdentifier = true
-		gcfg.Identifier = kr.Uint64() & (1<<56 - 1)
-		gcfg.OptZeroMAC = true
-	}
-	return core.NewGuard(gcfg)
+	return testbed.New(guard, cfg.ContentionCycles)
 }
 
 // attachWorkload maps the workload footprint with buddy-allocated clusters
@@ -295,13 +283,7 @@ func (s *System) attachWorkload(prof workload.Profile) error {
 		}
 		remaining -= cluster
 	}
-	var flushErr error
-	s.tables.Lines(func(addr uint64, line pte.Line) {
-		if _, werr := s.ctrl.WriteLine(addr, line); werr != nil && flushErr == nil {
-			flushErr = werr
-		}
-	})
-	return flushErr
+	return testbed.Install(s.ctrl, s.tables)
 }
 
 // mapHuge backs the footprint with 2 MB pages. Huge frames come from

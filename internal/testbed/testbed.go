@@ -1,0 +1,150 @@
+// Package testbed assembles the simulated machine every campaign runs on:
+// the default DRAM device, a memory controller with an optional PT-Guard MAC
+// engine (§IV), a buddy frame allocator over the usable frames, and OS page
+// tables flushed through that controller. It also holds the Fig. 9 trial
+// helpers the correction campaigns share: the fixed line pool and the
+// Bernoulli line flipper.
+//
+// Campaigns keep their own key salts, guard configurations and RNG draw
+// orders; this package owns only the assembly steps they share.
+package testbed
+
+import (
+	"errors"
+
+	"ptguard/internal/core"
+	"ptguard/internal/dram"
+	"ptguard/internal/mac"
+	"ptguard/internal/memctrl"
+	"ptguard/internal/ostable"
+	"ptguard/internal/pte"
+	"ptguard/internal/stats"
+)
+
+// FirstFrame is the first allocatable frame: the frames below it are
+// reserved, so no table or data page sits at a low physical address.
+const FirstFrame = 4096
+
+// poolProcesses is the number of synthetic processes whose leaf lines make
+// up a Pool.
+const poolProcesses = 6
+
+// Key draws a guard key from rng, one byte per draw. rng is left just past
+// the key, so a caller can draw further guard parameters (the optimized
+// mode's identifier) from the same stream.
+func Key(rng *stats.RNG) []byte {
+	key := make([]byte, mac.KeySize)
+	for i := range key {
+		key[i] = byte(rng.Uint64())
+	}
+	return key
+}
+
+// Device returns a DRAM device with the default geometry and timing.
+func Device() (*dram.Device, error) {
+	return dram.NewDevice(dram.Geometry{}, dram.Timing{})
+}
+
+// Machine is the assembled memory system.
+type Machine struct {
+	Dev   *dram.Device
+	Ctrl  *memctrl.Controller
+	Alloc *ostable.FrameAllocator
+}
+
+// New builds the default device, a controller over guard (nil leaves memory
+// unprotected) that charges contentionCycles per access, and a frame
+// allocator over [FirstFrame, capacity).
+func New(guard *core.Guard, contentionCycles int) (Machine, error) {
+	dev, err := Device()
+	if err != nil {
+		return Machine{}, err
+	}
+	ctrl, err := memctrl.New(dev, guard, contentionCycles)
+	if err != nil {
+		return Machine{}, err
+	}
+	alloc, err := ostable.NewFrameAllocator(FirstFrame, dev.Geometry().Capacity()/pte.PageSize-FirstFrame)
+	if err != nil {
+		return Machine{}, err
+	}
+	return Machine{Dev: dev, Ctrl: ctrl, Alloc: alloc}, nil
+}
+
+// Install flushes every line of tables through ctrl as one batch; a guarded
+// controller embeds the MACs through its batch engine.
+func Install(ctrl *memctrl.Controller, tables *ostable.PageTables) error {
+	var addrs []uint64
+	var lines []pte.Line
+	tables.Lines(func(addr uint64, line pte.Line) {
+		addrs = append(addrs, addr)
+		lines = append(lines, line)
+	})
+	_, err := ctrl.WriteLinesBatch(addrs, lines)
+	return err
+}
+
+// Line is one pooled leaf PTE line.
+type Line struct {
+	Addr uint64
+	// Arch is the architectural image the OS wrote.
+	Arch pte.Line
+	// Protected is the image stored in DRAM, MAC embedded when guarded.
+	Protected pte.Line
+}
+
+// Pool synthesises a fixed set of processes from the §VI-B population
+// seeded by seed, installs their tables through m, and returns their leaf
+// lines. The tables stay allocated, so no two pooled lines alias a frame.
+// The pool is shuffled by an RNG of its own, so small runs sample a
+// representative mix of zero-heavy and dense lines and every sweep point
+// visits the same lines in the same order.
+func Pool(m Machine, seed uint64) ([]Line, error) {
+	synth := ostable.DefaultSynthConfig()
+	synth.Seed = seed
+	pop, err := ostable.NewPopulation(synth, m.Alloc)
+	if err != nil {
+		return nil, err
+	}
+	var pool []Line
+	for p := 0; p < poolProcesses; p++ {
+		tables, err := pop.SynthesizeProcess()
+		if err != nil {
+			return nil, err
+		}
+		if err := Install(m.Ctrl, tables); err != nil {
+			return nil, err
+		}
+		tables.LeafLines(func(addr uint64, arch pte.Line) {
+			pool = append(pool, Line{Addr: addr, Arch: arch, Protected: m.Dev.ReadLine(addr)})
+		})
+	}
+	if len(pool) == 0 {
+		return nil, errors.New("testbed: empty line pool")
+	}
+	shuf := stats.NewRNG(seed ^ 0x5F0F)
+	for i := len(pool) - 1; i > 0; i-- {
+		j := shuf.Intn(i + 1)
+		pool[i], pool[j] = pool[j], pool[i]
+	}
+	return pool, nil
+}
+
+// FlipBernoulli flips each bit of line independently with probability p,
+// redrawing the whole pattern until at least one bit flips: the §VI-F
+// per-line fault injection, conditioned on the line being erroneous.
+func FlipBernoulli(line pte.Line, p float64, rng *stats.RNG) pte.Line {
+	for {
+		flipped := false
+		out := line
+		for bit := 0; bit < pte.LineBytes*8; bit++ {
+			if rng.Bernoulli(p) {
+				out[bit/64] = pte.Entry(uint64(out[bit/64]) ^ 1<<uint(bit%64))
+				flipped = true
+			}
+		}
+		if flipped {
+			return out
+		}
+	}
+}

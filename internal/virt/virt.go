@@ -15,12 +15,12 @@ import (
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
 	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
 	"ptguard/internal/ostable"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
+	"ptguard/internal/testbed"
 	"ptguard/internal/tlb"
 )
 
@@ -39,9 +39,9 @@ const guestFrameBase = 16
 // flip the other layer's lines — which keeps the guard-placement matrix
 // meaningful (row blast radius is the whole 8 KB row, two 4 KB frames).
 const (
-	// hostFrameBase matches the attack sandbox: low host frames are
+	// hostFrameBase matches the other campaigns: low host frames are
 	// reserved. The stage-2 slab starts here.
-	hostFrameBase = 4096
+	hostFrameBase = testbed.FirstFrame
 	// guestHostFrameBase starts the guest-owned frame pool (row-aligned).
 	guestHostFrameBase = 1 << 18
 )
@@ -146,8 +146,8 @@ type Host struct {
 	Alloc      *ostable.FrameAllocator
 	GuestAlloc *ostable.FrameAllocator
 	TLB        *tlb.TLB
-	Walker    *tlb.NestedWalker
-	VMs       []*VM
+	Walker     *tlb.NestedWalker
+	VMs        []*VM
 
 	cfg Config
 }
@@ -161,7 +161,7 @@ func NewHost(cfg Config) (*Host, error) {
 	if cfg.PagesPerVM < 1 || cfg.PagesPerVM > 8192 {
 		return nil, fmt.Errorf("virt: pages per VM %d outside [1, 8192]", cfg.PagesPerVM)
 	}
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
+	dev, err := testbed.Device()
 	if err != nil {
 		return nil, err
 	}
@@ -228,18 +228,13 @@ func newGuard(protected, correction bool, seed uint64, salt string) (*core.Guard
 	if err != nil {
 		return nil, err
 	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(stats.DeriveSeed(seed, salt))
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
 	softK := 0
 	if correction {
 		softK = 4
 	}
 	return core.NewGuard(core.Config{
 		Format:           format,
-		Key:              key,
+		Key:              testbed.Key(stats.NewRNG(stats.DeriveSeed(seed, salt))),
 		EnableCorrection: correction,
 		SoftMatchK:       softK,
 		// The §V-B zero-cacheline optimization: all-zero lines carry
@@ -312,16 +307,11 @@ func (h *Host) buildVM(id int) (*VM, error) {
 	// Materialise both layers in DRAM: stage-2 lines at their own host
 	// addresses, guest-table lines at the host frames stage-2 assigns. Each
 	// layer flushes as one batch through its controller's MAC engine.
+	if err := testbed.Install(h.S2Ctrl, s2); err != nil {
+		return nil, err
+	}
 	var flushAddrs []uint64
 	var flushLines []pte.Line
-	s2.Lines(func(addr uint64, line pte.Line) {
-		flushAddrs = append(flushAddrs, addr)
-		flushLines = append(flushLines, line)
-	})
-	if _, werr := h.S2Ctrl.WriteLinesBatch(flushAddrs, flushLines); werr != nil {
-		return nil, werr
-	}
-	flushAddrs, flushLines = flushAddrs[:0], flushLines[:0]
 	var flushErr error
 	guestPT.Lines(func(gaddr uint64, line pte.Line) {
 		haddr, ok := vm.hostAddr(gaddr)
