@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test perfbench-test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench bench-json bench-json-smoke bench-compare
+.PHONY: ci fmt vet build test perfbench-test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke slowdown-smoke bench-smoke bench bench-json bench-json-smoke bench-compare
 
 # ci is the gate every change must pass.
-ci: fmt vet build test perfbench-test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench-json-smoke
+ci: fmt vet build test perfbench-test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke slowdown-smoke bench-smoke bench-json-smoke
 
 # fmt fails when any Go file (the nested perfbench module included) is not
 # gofmt-clean.
@@ -57,6 +57,16 @@ dist-smoke:
 	$(GO) build -race -o $$dir ./cmd/ptguard-sweep ./cmd/ptguard-worker && \
 	$$dir/ptguard-sweep -sections correction -correction-lines 10 \
 		-backend proc -dist-workers 2 -quiet > /dev/null; \
+	rc=$$?; rm -rf $$dir; exit $$rc
+
+# slowdown-smoke: a two-workload Fig. 6/7 grid with metrics and trace
+# outputs, so the observed lockstep mode comparison runs end to end.
+slowdown-smoke:
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/ptguard-sweep -sections slowdown -workloads mcf,lbm \
+		-mac-latencies 5,20 -instructions 20000 -warmup 5000 \
+		-metrics-out $$dir/metrics.jsonl -trace-out $$dir/trace.json \
+		-quiet > /dev/null; \
 	rc=$$?; rm -rf $$dir; exit $$rc
 
 # A tiny head-to-head matrix: the mitigation registry, attack patterns, and

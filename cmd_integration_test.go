@@ -187,6 +187,22 @@ func TestCommandLineTools(t *testing.T) {
 			t.Errorf("ptguard-profile -mem-gb %s: unclear error %q", gb, out)
 		}
 	}
+	// A bad slowdown grid fails up front with one error: latency 0 used to
+	// run at the 10-cycle default, -3 reported a negative slowdown, a
+	// negative warm-up was accepted, and negative instructions failed
+	// every job.
+	for _, bad := range [][]string{
+		{"-mac-latencies", "0"}, {"-mac-latencies", "5,-3"},
+		{"-warmup", "-1"}, {"-instructions", "-5"},
+	} {
+		args := append([]string{"-sections", "slowdown", "-workloads", "leela", "-quiet"}, bad...)
+		out, err := exec.Command(filepath.Join(binDir, "ptguard-sweep"), args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("ptguard-sweep accepted %v", bad)
+		} else if !strings.Contains(string(out), "harness: slowdown") {
+			t.Errorf("ptguard-sweep %v: unclear error %q", bad, out)
+		}
+	}
 
 	// Kill-resume determinism: a soak cycle that really SIGKILLs the
 	// campaign mid-journal-write (short write included) and corrupts the

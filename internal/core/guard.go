@@ -79,7 +79,7 @@ type Config struct {
 	// CTBEntries sizes the Collision Tracking Buffer; 0 selects 4.
 	CTBEntries int
 	// MACLatencyCycles is the MAC computation delay used by the timing
-	// model; 0 selects 10 cycles.
+	// model; 0 selects 10 cycles and a negative value is rejected.
 	MACLatencyCycles int
 }
 
@@ -173,6 +173,9 @@ func NewGuard(cfg Config) (*Guard, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Format.Name == "" {
 		return nil, errors.New("core: config needs a PTE format")
+	}
+	if cfg.MACLatencyCycles < 0 {
+		return nil, fmt.Errorf("core: negative MAC latency %d cycles", cfg.MACLatencyCycles)
 	}
 	macCapacity := cfg.Format.MACBitsPerLine()
 	if cfg.TagBits > macCapacity {

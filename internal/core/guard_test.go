@@ -66,6 +66,7 @@ func TestNewGuardValidation(t *testing.T) {
 		{name: "tag too wide", cfg: Config{Format: f, Key: testKey(), TagBits: 128}, wantErr: true},
 		{name: "bad soft k", cfg: Config{Format: f, Key: testKey(), SoftMatchK: -1}, wantErr: true},
 		{name: "64-bit tag ok", cfg: Config{Format: f, Key: testKey(), TagBits: 64}},
+		{name: "negative mac latency", cfg: Config{Format: f, Key: testKey(), MACLatencyCycles: -3}, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

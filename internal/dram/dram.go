@@ -67,10 +67,11 @@ type Location struct {
 // Device is not safe for concurrent use.
 //
 // The per-row bookkeeping (activation counters, flip attribution) is held
-// in dense slices indexed by bank*RowsPerBank+row: the geometry is fixed at
-// construction, so a direct index replaces the map hashing that used to
-// dominate the activate path, and the refresh window resets in place
-// instead of reallocating.
+// in paged arrays indexed by bank*RowsPerBank+row (see rowCounters): the
+// geometry is fixed at construction, so a direct index replaces the map
+// hashing that used to dominate the activate path, the refresh window
+// resets in place instead of reallocating, and a device only pays for the
+// rows it touches.
 type Device struct {
 	geo    Geometry
 	timing Timing
@@ -85,7 +86,7 @@ type Device struct {
 	// indexed by rowIndex. actTouched lists the indices with a non-zero
 	// count so RefreshWindow clears only what was touched (O(hot rows),
 	// allocation-free) instead of zeroing the whole module.
-	activations []int32
+	activations rowCounters[int32]
 	actTouched  []int32
 
 	// autoRefreshEvery, when positive, clears activation counters after
@@ -97,7 +98,7 @@ type Device struct {
 	// flips attributes injected bit flips to their rowIndex, so fault
 	// campaigns can tell which rows and banks ate the faults; flipTouched
 	// lists the rows with at least one flip for iteration.
-	flips       []uint64
+	flips       rowCounters[uint64]
 	flipTouched []int32
 	flipsTotal  uint64
 
@@ -107,6 +108,55 @@ type Device struct {
 	// o, when set, receives row-activation and fault-injection trace
 	// events (nil = observability disabled, the zero-overhead default).
 	o *obs.Observer
+}
+
+// rowPageShift sets the rowCounters page size: 1 Ki rows, 4 KiB of int32
+// activation counters.
+const rowPageShift = 10
+
+// rowCounters is a per-row counter array over the rowIndex space, allocated
+// one page of 1<<rowPageShift rows at a time on the first write to the page.
+// Untouched rows read as zero, so a device that is never activated or
+// flipped carries no per-row storage: the default 512 Ki-row module would
+// otherwise allocate 2 MB of activation counters and 4 MB of flip counts up
+// front.
+type rowCounters[T int32 | uint64] struct {
+	rows  int
+	pages [][]T
+}
+
+// get returns the count at idx (zero for a row never written).
+func (c *rowCounters[T]) get(idx int32) T {
+	if c.pages == nil {
+		return 0
+	}
+	p := c.pages[idx>>rowPageShift]
+	if p == nil {
+		return 0
+	}
+	return p[idx&(1<<rowPageShift-1)]
+}
+
+// add adds n to the count at idx and returns the new count, allocating the
+// row's page on first use.
+func (c *rowCounters[T]) add(idx int32, n T) T {
+	if c.pages == nil {
+		c.pages = make([][]T, (c.rows+1<<rowPageShift-1)>>rowPageShift)
+	}
+	p := c.pages[idx>>rowPageShift]
+	if p == nil {
+		p = make([]T, 1<<rowPageShift)
+		c.pages[idx>>rowPageShift] = p
+	}
+	p[idx&(1<<rowPageShift-1)] += n
+	return p[idx&(1<<rowPageShift-1)]
+}
+
+// clear zeroes the count at idx.
+func (c *rowCounters[T]) clear(idx int32) {
+	if p := c.pages; p != nil && p[idx>>rowPageShift] != nil {
+		p[idx>>rowPageShift][idx&(1<<rowPageShift-1)] = 0
+	}
 }
 
 // rowIndex flattens (global bank index, row) into the dense bookkeeping
@@ -137,8 +187,8 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 		timing:      timing,
 		lines:       make(map[uint64]pte.Line),
 		openRow:     open,
-		activations: make([]int32, nRows),
-		flips:       make([]uint64, nRows),
+		activations: rowCounters[int32]{rows: nRows},
+		flips:       rowCounters[uint64]{rows: nRows},
 	}, nil
 }
 
@@ -239,11 +289,11 @@ func (d *Device) activate(bankIdx, row int) {
 // new count. It is the single mutation point for the dense counters.
 func (d *Device) addActivations(bankIdx, row, count int) int {
 	idx := d.rowIndex(bankIdx, row)
-	if d.activations[idx] == 0 && count != 0 {
+	n := d.activations.add(idx, int32(count))
+	if n == int32(count) && count != 0 {
 		d.actTouched = append(d.actTouched, idx)
 	}
-	d.activations[idx] += int32(count)
-	return int(d.activations[idx])
+	return int(n)
 }
 
 // Activations returns the activation count of the row containing addr since
@@ -251,7 +301,7 @@ func (d *Device) addActivations(bankIdx, row, count int) int {
 func (d *Device) Activations(addr uint64) int {
 	loc := d.Locate(addr)
 	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
-	return int(d.activations[d.rowIndex(bankIdx, loc.Row)])
+	return int(d.activations.get(d.rowIndex(bankIdx, loc.Row)))
 }
 
 // RefreshWindow models the periodic auto-refresh: activation counters reset
@@ -261,7 +311,7 @@ func (d *Device) Activations(addr uint64) int {
 // (BenchmarkRefreshWindow pins this).
 func (d *Device) RefreshWindow() {
 	for _, idx := range d.actTouched {
-		d.activations[idx] = 0
+		d.activations.clear(idx)
 	}
 	d.actTouched = d.actTouched[:0]
 	for i := range d.openRow {
@@ -342,10 +392,9 @@ func (d *Device) recordFlips(addr uint64, n int) {
 	loc := d.Locate(addr)
 	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
 	idx := d.rowIndex(bankIdx, loc.Row)
-	if d.flips[idx] == 0 && n != 0 {
+	if n != 0 && d.flips.add(idx, uint64(n)) == uint64(n) {
 		d.flipTouched = append(d.flipTouched, idx)
 	}
-	d.flips[idx] += uint64(n)
 	d.flipsTotal += uint64(n)
 	if d.o != nil {
 		d.o.EmitArgs("fault", "flip", 0, map[string]uint64{
@@ -372,7 +421,7 @@ func (d *Device) FlipCounts() []FlipCount {
 		out = append(out, FlipCount{
 			Bank:  int(idx) / d.geo.RowsPerBank,
 			Row:   int(idx) % d.geo.RowsPerBank,
-			Flips: d.flips[idx],
+			Flips: d.flips.get(idx),
 		})
 	}
 	return out
@@ -383,7 +432,7 @@ func (d *Device) FlipCounts() []FlipCount {
 func (d *Device) BankFlips() []uint64 {
 	out := make([]uint64, d.geo.Channels*d.geo.BanksPerChannel)
 	for _, idx := range d.flipTouched {
-		out[int(idx)/d.geo.RowsPerBank] += d.flips[idx]
+		out[int(idx)/d.geo.RowsPerBank] += d.flips.get(idx)
 	}
 	return out
 }
@@ -392,5 +441,5 @@ func (d *Device) BankFlips() []uint64 {
 func (d *Device) RowFlips(addr uint64) uint64 {
 	loc := d.Locate(addr)
 	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
-	return d.flips[d.rowIndex(bankIdx, loc.Row)]
+	return d.flips.get(d.rowIndex(bankIdx, loc.Row))
 }

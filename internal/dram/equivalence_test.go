@@ -71,7 +71,12 @@ func (s softTRR) registerPTERow(addr uint64) {
 	s.tracker.RegisterRow(loc.Channel*s.dev.geo.BanksPerChannel+loc.Bank, loc.Row)
 }
 
-// legacyTRR is the pre-refactor dram.TRR, verbatim.
+// resetActivations zeroes one row's activation counter in place, as the
+// legacy loops did by writing the device's dense counter slice directly.
+func resetActivations(d *Device, idx int32) { d.activations.clear(idx) }
+
+// legacyTRR is the pre-refactor dram.TRR, verbatim except for the counter
+// resets, which go through resetActivations.
 type legacyTRR struct {
 	dev              *Device
 	hmr              *Hammerer
@@ -89,7 +94,7 @@ func (t *legacyTRR) hammer(aggressorAddr uint64, count int) []int {
 		if t.dev.addActivations(bankIdx, loc.Row, 1) < t.samplerThreshold {
 			continue
 		}
-		t.dev.activations[agg] = 0
+		resetActivations(t.dev, agg)
 		for _, d := range []int{-1, +1} {
 			victim := loc.Row + d
 			if victim < 0 || victim >= t.dev.geo.RowsPerBank {
@@ -105,7 +110,7 @@ func (t *legacyTRR) hammer(aggressorAddr uint64, count int) []int {
 				if t.hmr.disturbRow(loc.Channel, loc.Bank, far) > 0 {
 					flipped = append(flipped, far)
 				}
-				t.dev.activations[v] = 0
+				resetActivations(t.dev, v)
 			}
 		}
 	}

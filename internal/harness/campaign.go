@@ -109,8 +109,19 @@ func (s SlowdownSpec) withDefaults() SlowdownSpec {
 	return s
 }
 
-// Jobs expands the spec into one job per (MAC latency, workload).
+// Jobs expands the spec into one job per (MAC latency, workload). A MAC
+// latency below one cycle or a negative Warmup or Instructions is an error
+// before any job is built: the guard would treat latency 0 as its 10-cycle
+// default, and every job would fail on a negative window.
 func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
+	for _, lat := range s.MACLatencies {
+		if lat < 1 {
+			return nil, fmt.Errorf("harness: slowdown MAC latency %d cycles, want at least 1", lat)
+		}
+	}
+	if s.Warmup < 0 || s.Instructions < 0 {
+		return nil, fmt.Errorf("harness: slowdown warm-up %d and instructions %d must not be negative", s.Warmup, s.Instructions)
+	}
 	s = s.withDefaults()
 	profs := workload.Profiles()
 	if len(s.Workloads) > 0 {

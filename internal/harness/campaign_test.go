@@ -102,6 +102,21 @@ func TestSlowdownSpecRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestSlowdownSpecRejectsBadGrid: a MAC latency below one cycle or a
+// negative window is one error from Jobs, with no job expanded.
+func TestSlowdownSpecRejectsBadGrid(t *testing.T) {
+	for name, spec := range map[string]SlowdownSpec{
+		"mac 0":           {MACLatencies: []int{5, 0}},
+		"mac -3":          {MACLatencies: []int{-3}},
+		"warmup -1":       {Warmup: -1},
+		"instructions -5": {Instructions: -5},
+	} {
+		if jobs, err := spec.Jobs(1); err == nil || jobs != nil {
+			t.Errorf("%s: got %d jobs, err %v; want an error and no jobs", name, len(jobs), err)
+		}
+	}
+}
+
 func TestMulticoreSpecJobsAndMixes(t *testing.T) {
 	spec := MulticoreSpec{SameMixes: 2, MixMixes: 3}
 	mixesA := spec.Mixes(7)

@@ -39,6 +39,10 @@ type Comparison struct {
 // identical seeds and instruction counts. Each run warms caches and TLB for
 // `warmup` instructions before the measured window, mirroring the paper's
 // fast-forward to a representative region (§III).
+//
+// The modes run in lockstep as lanes of one System over a shared front end
+// (see System); a mode whose lane diverges from the baseline's is re-run
+// alone, so every result equals a standalone run of its mode.
 func Compare(prof workload.Profile, warmup, instructions int, seed uint64, macLatency int, modes []Mode) (Comparison, error) {
 	cmp, _, err := CompareObserved(prof, warmup, instructions, seed, macLatency, modes, nil)
 	return cmp, err
@@ -53,48 +57,73 @@ func CompareObserved(prof workload.Profile, warmup, instructions int, seed uint6
 	if len(modes) == 0 {
 		return Comparison{}, nil, errors.New("sim: no modes requested")
 	}
-	var metrics map[Mode]*obs.RunMetrics
-	observed := func(cfg Config) (Result, error) {
-		var o *obs.Observer
-		if obsOpts != nil {
-			o = obs.New(*obsOpts)
-			cfg.Obs = o
+	cfgs := []Config{{Mode: Baseline, Seed: seed}}
+	for _, m := range modes {
+		if m != Baseline {
+			cfgs = append(cfgs, Config{Mode: m, Seed: seed, MACLatencyCycles: macLatency})
 		}
-		r, err := runOne(cfg, prof, warmup, instructions)
-		if err == nil && o != nil {
-			if metrics == nil {
-				metrics = map[Mode]*obs.RunMetrics{}
-			}
-			metrics[cfg.Mode] = o.RunMetrics(true)
-		}
-		return r, err
 	}
-	base, err := observed(Config{Mode: Baseline, Seed: seed})
+	if obsOpts != nil {
+		for i := range cfgs {
+			cfgs[i].Obs = obs.New(*obsOpts)
+		}
+	}
+	s, err := newLockstep(prof, cfgs)
 	if err != nil {
 		return Comparison{}, nil, err
 	}
+	results, metrics, err := measureLanes(s, prof, warmup, instructions, obsOpts)
+	if err != nil {
+		return Comparison{}, nil, err
+	}
+	base := results[0]
 	cmp := Comparison{
 		Workload:    prof.Name,
 		LLCMPKI:     base.LLCMPKI,
 		Results:     map[Mode]Result{Baseline: base},
 		SlowdownPct: map[Mode]float64{},
 	}
-	for _, m := range modes {
-		if m == Baseline {
-			continue
-		}
-		r, rerr := observed(Config{Mode: m, Seed: seed, MACLatencyCycles: macLatency})
-		if rerr != nil {
-			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, rerr)
-		}
-		cmp.Results[m] = r
+	for _, r := range results[1:] {
+		cmp.Results[r.Mode] = r
 		sl, serr := SlowdownPercent(r.Cycles, base.Cycles)
 		if serr != nil {
-			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, serr)
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, r.Mode, serr)
 		}
-		cmp.SlowdownPct[m] = sl
+		cmp.SlowdownPct[r.Mode] = sl
 	}
-	return cmp, metrics, nil
+	var byMode map[Mode]*obs.RunMetrics
+	if obsOpts != nil {
+		byMode = make(map[Mode]*obs.RunMetrics, len(metrics))
+		for i, rm := range metrics {
+			byMode[results[i].Mode] = rm
+		}
+	}
+	return cmp, byMode, nil
+}
+
+// measureLanes runs the warm-up and measured window on every lane of s and
+// re-runs each diverged lane alone on a fresh one-lane System, with a fresh
+// Observer when obsOpts is set. It returns one Result and one RunMetrics
+// (nil when unobserved) per lane.
+func measureLanes(s *System, prof workload.Profile, warmup, instructions int, obsOpts *obs.Options) ([]Result, []*obs.RunMetrics, error) {
+	results, err := s.measure(warmup, instructions)
+	if err != nil {
+		return nil, nil, err
+	}
+	metrics := make([]*obs.RunMetrics, len(s.lanes))
+	for i, l := range s.lanes {
+		cfg := l.cfg
+		if l.diverged {
+			if obsOpts != nil {
+				cfg.Obs = obs.New(*obsOpts)
+			}
+			if results[i], err = runOne(cfg, prof, warmup, instructions); err != nil {
+				return nil, nil, laneErr(prof, i, cfg.Mode, err)
+			}
+		}
+		metrics[i] = cfg.Obs.RunMetrics(true)
+	}
+	return results, metrics, nil
 }
 
 func runOne(cfg Config, prof workload.Profile, warmup, instructions int) (Result, error) {
@@ -102,13 +131,11 @@ func runOne(cfg Config, prof workload.Profile, warmup, instructions int) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	if warmup > 0 {
-		if _, err := s.Run(warmup); err != nil {
-			return Result{}, err
-		}
-		s.ResetStats()
+	res, err := s.measure(warmup, instructions)
+	if err != nil {
+		return Result{}, err
 	}
-	return s.Run(instructions)
+	return res[0], nil
 }
 
 // SuiteSummary aggregates per-workload slowdowns (Fig. 6/7's GMEAN/AMEAN
@@ -179,26 +206,25 @@ func CompareMulticore(mix MulticoreMix, warmup, instrPerCore int, seed uint64, m
 	}
 	var baseCycles, guardCycles float64
 	for i, prof := range mix.Workloads {
-		coreSeed := seed + uint64(i)*977
-		mkCfg := func(mode Mode) Config {
-			return Config{
-				Mode:             mode,
-				Seed:             coreSeed,
-				MACLatencyCycles: macLatency,
-				Core:             cpu.OutOfOrder(),
-				ContentionCycles: MulticoreContention,
-			}
+		cfg := Config{
+			Mode:             Baseline,
+			Seed:             seed + uint64(i)*977,
+			MACLatencyCycles: macLatency,
+			Core:             cpu.OutOfOrder(),
+			ContentionCycles: MulticoreContention,
 		}
-		base, err := runOne(mkCfg(Baseline), prof, warmup, instrPerCore)
+		guarded := cfg
+		guarded.Mode = PTGuard
+		s, err := newLockstep(prof, []Config{cfg, guarded})
 		if err != nil {
 			return MulticoreResult{}, err
 		}
-		guard, err := runOne(mkCfg(PTGuard), prof, warmup, instrPerCore)
+		res, _, err := measureLanes(s, prof, warmup, instrPerCore, nil)
 		if err != nil {
 			return MulticoreResult{}, err
 		}
-		baseCycles += base.Cycles
-		guardCycles += guard.Cycles
+		baseCycles += res[0].Cycles
+		guardCycles += res[1].Cycles
 	}
 	sl, err := SlowdownPercent(guardCycles, baseCycles)
 	if err != nil {

@@ -47,7 +47,7 @@ func (s *System) remapAfter() int {
 // the returned line, when ok, is verified and safe to consume.
 func (s *System) recoverPTELine(addr uint64) (pte.Line, bool) {
 	s.recovery.Raised++
-	s.obs.Emit("recovery", "raised", 0)
+	s.emit("recovery", "raised")
 	page := addr &^ uint64(pte.PageSize-1)
 	s.pageFailures[page]++
 
@@ -67,13 +67,12 @@ func (s *System) recoverPTELine(addr uint64) (pte.Line, bool) {
 			// authoritative copy to rebuild from.
 			break
 		}
-		if _, err := s.ctrl.WriteLine(addr, arch); err != nil {
+		if err := s.write(addr, arch, false); err != nil {
 			continue
 		}
 		s.recovery.Rebuilds++
-		s.obs.Emit("recovery", "rebuild", 0)
-		line, lat, ok := s.ctrl.ReadLine(addr, true)
-		s.core.StallMemory(lat)
+		s.emit("recovery", "rebuild")
+		line, ok := s.read(addr, true, 0, false)
 		if !ok {
 			// The line failed verification again (e.g. the row is
 			// still under active hammering); retry.
@@ -84,7 +83,7 @@ func (s *System) recoverPTELine(addr uint64) (pte.Line, bool) {
 		return line, true
 	}
 	s.recovery.Fatal++
-	s.obs.Emit("recovery", "fatal", 0)
+	s.emit("recovery", "fatal")
 	return pte.Line{}, false
 }
 
@@ -102,13 +101,13 @@ func (s *System) remapVictimPage(addr uint64) (pte.Line, bool) {
 		return pte.Line{}, false
 	}
 	s.recovery.Remaps++
-	s.obs.Emit("recovery", "remap", 0)
+	s.emit("recovery", "remap")
 	delete(s.pageFailures, oldPage)
 
 	// Flush the migrated page and invalidate the quarantined one.
 	writeOK := true
 	s.tables.PageLines(newPage, func(a uint64, line pte.Line) {
-		if _, werr := s.ctrl.WriteLine(a, line); werr != nil {
+		if s.write(a, line, false) != nil {
 			writeOK = false
 		}
 	})
@@ -123,7 +122,7 @@ func (s *System) remapVictimPage(addr uint64) (pte.Line, bool) {
 	if parentEA, ok := s.tables.ParentEntryAddr(newPage); ok {
 		parentLine := parentEA &^ uint64(pte.LineBytes-1)
 		if arch, ok := s.tables.LineAt(parentLine); ok {
-			if _, werr := s.ctrl.WriteLine(parentLine, arch); werr != nil {
+			if s.write(parentLine, arch, false) != nil {
 				writeOK = false
 			}
 		}
@@ -141,8 +140,7 @@ func (s *System) remapVictimPage(addr uint64) (pte.Line, bool) {
 
 	// Serve the relocated line under verification.
 	newAddr := newPage + (addr - oldPage)
-	line, lat, ok := s.ctrl.ReadLine(newAddr, true)
-	s.core.StallMemory(lat)
+	line, ok := s.read(newAddr, true, 0, false)
 	if !ok {
 		return pte.Line{}, false
 	}

@@ -69,8 +69,8 @@ func TestRecoveryRebuild(t *testing.T) {
 	if st.Rebuilds == 0 {
 		t.Fatal("recovery did not rebuild the line")
 	}
-	if s.checkFails != 1 {
-		t.Fatalf("checkFails = %d, want 1", s.checkFails)
+	if fails := s.lanes[0].checkFails; fails != 1 {
+		t.Fatalf("checkFails = %d, want 1", fails)
 	}
 	// The rebuilt line is pristine again: the system keeps running with
 	// no further integrity failures.

@@ -103,25 +103,30 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-// System is one single-core simulated machine running one workload.
+// System is one single-core simulated machine running one workload. It
+// splits into a front end shared by every protection mode — the workload
+// generator, TLB, page walker and MMU cache, the cache hierarchy, and the
+// page tables with their frame allocator — and one lane per mode, each with
+// its own core, DRAM device and memory controller. The front end drives
+// every lane with the same controller calls in lockstep and follows lane
+// 0's answers (see lane). Single-mode users get a one-lane System.
 // Not safe for concurrent use.
 type System struct {
+	// cfg is lane 0's configuration; the front end reads only the
+	// mode-independent fields.
 	cfg    Config
-	core   *cpu.Core
+	lanes  []*lane
 	tlb    *tlb.TLB
 	walker *tlb.Walker
 	l1d    *cache.Cache
 	l2     *cache.Cache
 	l3     *cache.Cache
-	ctrl   *memctrl.Controller
-	dev    *dram.Device
 	alloc  *ostable.FrameAllocator
 	tables *ostable.PageTables
 	gen    *workload.Generator
 	rng    *stats.RNG
 
-	vbase      uint64
-	checkFails uint64
+	vbase uint64
 
 	// recovery tracks the §IV-G OS-rebuild path; pageFailures counts
 	// integrity failures per table page to drive the remap escalation.
@@ -138,35 +143,75 @@ type System struct {
 
 	sinceChurn int
 	churns     uint64
-
-	// obs collects metrics/traces/series when non-nil (Config.Obs).
-	obs *obs.Observer
 }
 
-// NewSystem builds a system for one workload profile. The workload's
-// footprint is mapped through real 4-level page tables whose lines are
-// flushed to DRAM through the (possibly guarded) memory controller.
+// lane is one protection mode's share of a System: everything whose state
+// or timing depends on the mode. Every lane receives every controller call
+// and every stall, in the same order, each charged with its own latency, so
+// a lane's results equal a one-lane run of its mode as long as it agrees
+// with lane 0 on everything the front end consumes.
+type lane struct {
+	cfg        Config
+	core       *cpu.Core
+	ctrl       *memctrl.Controller
+	dev        *dram.Device
+	checkFails uint64
+
+	// diverged is set once a controller call gave this lane a line,
+	// verdict or write error different from lane 0's. The front end
+	// followed lane 0, so the lane's results no longer describe its own
+	// mode and the caller re-runs it alone.
+	diverged bool
+
+	// walkStart is the core cycle the current page walk began at.
+	walkStart float64
+}
+
+// NewSystem builds a one-lane system for one workload profile. The
+// workload's footprint is mapped through real 4-level page tables whose
+// lines are flushed to DRAM through the (possibly guarded) memory
+// controller.
 func NewSystem(cfg Config, prof workload.Profile) (*System, error) {
-	if cfg.Mode == 0 {
-		return nil, errors.New("sim: config needs a Mode")
-	}
-	if cfg.PhysAddrBits == 0 {
-		cfg.PhysAddrBits = 32
-	}
-	m, err := buildMachine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newSystemShared(cfg, prof, m, 0)
+	return newLockstep(prof, []Config{cfg})
 }
 
-// newSystemShared builds a per-core system over shared DRAM, controller and
-// frame allocator (the multicore configuration of §VII-C).
-func newSystemShared(cfg Config, prof workload.Profile, m testbed.Machine, coreIdx int) (*System, error) {
-	coreModel, err := cpu.New(cfg.Core)
-	if err != nil {
-		return nil, err
+// newLockstep builds one front end for prof driving one lane per config,
+// each lane on a machine of its own. The front end takes its
+// mode-independent settings from cfgs[0], so the configs must differ only
+// in Mode, MACLatencyCycles and Obs.
+func newLockstep(prof workload.Profile, cfgs []Config) (*System, error) {
+	cfgs = append([]Config(nil), cfgs...)
+	machines := make([]testbed.Machine, len(cfgs))
+	for i := range cfgs {
+		if cfgs[i].Mode == 0 {
+			return nil, errors.New("sim: config needs a Mode")
+		}
+		if cfgs[i].PhysAddrBits == 0 {
+			cfgs[i].PhysAddrBits = 32
+		}
+		m, err := buildMachine(cfgs[i])
+		if err != nil {
+			return nil, laneErr(prof, i, cfgs[i].Mode, err)
+		}
+		machines[i] = m
 	}
+	return newSystemShared(prof, cfgs, machines, 0)
+}
+
+// laneErr names the workload and mode of a failing lane after the first,
+// the way Compare reports a failing mode.
+func laneErr(prof workload.Profile, i int, mode Mode, err error) error {
+	if i == 0 {
+		return err
+	}
+	return fmt.Errorf("%s/%s: %w", prof.Name, mode, err)
+}
+
+// newSystemShared builds a system whose lane i runs on machines[i]; the
+// front end allocates frames from machines[0]. Multicore systems pass one
+// machine shared by every core (§VII-C), with coreIdx placing each core's
+// virtual layout.
+func newSystemShared(prof workload.Profile, cfgs []Config, machines []testbed.Machine, coreIdx int) (*System, error) {
 	tl, err := tlb.New(0)
 	if err != nil {
 		return nil, err
@@ -178,30 +223,35 @@ func newSystemShared(cfg Config, prof workload.Profile, m testbed.Machine, coreI
 		}
 		return cc
 	}
+	cfg := cfgs[0]
 	s := &System{
 		cfg:          cfg,
-		core:         coreModel,
 		tlb:          tl,
 		l1d:          mkCache(cache.L1Config),
 		l2:           mkCache(cache.L2Config),
 		l3:           mkCache(cache.L3Config),
-		ctrl:         m.Ctrl,
-		dev:          m.Dev,
-		alloc:        m.Alloc,
+		alloc:        machines[0].Alloc,
 		rng:          stats.NewRNG(cfg.Seed ^ 0xD1CE),
 		vbase:        0x10_0000_0000 + uint64(coreIdx)<<40,
 		cleanPTE:     make(map[uint64]pte.Line),
 		pageFailures: make(map[uint64]int),
-		obs:          cfg.Obs,
 	}
 	if err != nil {
 		return nil, err
 	}
-	if s.obs != nil {
-		// Events are stamped with this core's cycle count. With a shared
-		// controller (multicore), the last core built owns the clock.
-		s.obs.SetClock(func() uint64 { return uint64(coreModel.Cycles()) })
-		m.Ctrl.SetObserver(s.obs)
+	for i, c := range cfgs {
+		coreModel, err := cpu.New(c.Core)
+		if err != nil {
+			return nil, laneErr(prof, i, c.Mode, err)
+		}
+		if c.Obs != nil {
+			// Events are stamped with this lane's cycle count. With a
+			// shared controller (multicore), the last core built owns
+			// the clock.
+			c.Obs.SetClock(func() uint64 { return uint64(coreModel.Cycles()) })
+			machines[i].Ctrl.SetObserver(c.Obs)
+		}
+		s.lanes = append(s.lanes, &lane{cfg: c, core: coreModel, ctrl: machines[i].Ctrl, dev: machines[i].Dev})
 	}
 	s.walker, err = tlb.NewWalker(s.readPTELine)
 	if err != nil {
@@ -213,7 +263,7 @@ func newSystemShared(cfg Config, prof workload.Profile, m testbed.Machine, coreI
 	return s, nil
 }
 
-// buildMachine assembles the shared memory system: the default device and
+// buildMachine assembles one lane's memory system: the default device and
 // frame allocator behind a controller guarded as cfg.Mode selects.
 func buildMachine(cfg Config) (testbed.Machine, error) {
 	var guard *core.Guard
@@ -283,7 +333,12 @@ func (s *System) attachWorkload(prof workload.Profile) error {
 		}
 		remaining -= cluster
 	}
-	return testbed.Install(s.ctrl, s.tables)
+	for i, l := range s.lanes {
+		if err := testbed.Install(l.ctrl, s.tables); err != nil {
+			return laneErr(prof, i, l.cfg.Mode, err)
+		}
+	}
+	return nil
 }
 
 // mapHuge backs the footprint with 2 MB pages. Huge frames come from
@@ -311,7 +366,7 @@ func (s *System) mapHuge(pages int, flags pte.Entry) error {
 func (s *System) readPTELine(addr uint64) (pte.Line, bool) {
 	res2 := s.l2.Access(addr, false)
 	if res2.Hit {
-		s.core.StallMemory(latL2)
+		s.stall(latL2)
 		if line, ok := s.cleanPTE[addr]; ok {
 			return line, true
 		}
@@ -321,7 +376,7 @@ func (s *System) readPTELine(addr uint64) (pte.Line, bool) {
 	if !res2.Hit {
 		res3 := s.l3.Access(addr, false)
 		if res3.Hit {
-			s.core.StallMemory(latL2 + latL3)
+			s.stall(latL2 + latL3)
 			if line, ok := s.cleanPTE[addr]; ok {
 				return line, true
 			}
@@ -332,10 +387,8 @@ func (s *System) readPTELine(addr uint64) (pte.Line, bool) {
 	if s.cfg.TraceWalks {
 		s.walkTrace = append(s.walkTrace, addr)
 	}
-	line, lat, ok := s.ctrl.ReadLine(addr, true)
-	s.core.StallMemory(latL2 + latL3 + lat)
+	line, ok := s.read(addr, true, latL2+latL3, true)
 	if !ok {
-		s.checkFails++
 		// Do not install the faulty line (§IV-F).
 		s.l2.Invalidate(addr)
 		s.l3.Invalidate(addr)
@@ -347,6 +400,61 @@ func (s *System) readPTELine(addr uint64) (pte.Line, bool) {
 	}
 	s.cleanPTE[addr] = line
 	return line, true
+}
+
+// stall charges a memory stall of lat cycles to every lane's core.
+func (s *System) stall(lat int) {
+	for _, l := range s.lanes {
+		l.core.StallMemory(lat)
+	}
+}
+
+// read fetches the line at addr through every lane's controller and stalls
+// each lane's core for base plus that lane's own read latency. It returns
+// lane 0's line and verdict. With countFail set, a failed integrity check
+// counts against the lane it failed in.
+func (s *System) read(addr uint64, isPTE bool, base int, countFail bool) (pte.Line, bool) {
+	var line0 pte.Line
+	var ok0 bool
+	for i, l := range s.lanes {
+		line, lat, ok := l.ctrl.ReadLine(addr, isPTE)
+		l.core.StallMemory(base + lat)
+		if !ok && countFail {
+			l.checkFails++
+		}
+		if i == 0 {
+			line0, ok0 = line, ok
+		} else if ok != ok0 || line != line0 {
+			l.diverged = true
+		}
+	}
+	return line0, ok0
+}
+
+// write posts a line write through every lane's controller; writes do not
+// stall the cores. It returns lane 0's error. With countFail set, a failed
+// write counts against the lane it failed in.
+func (s *System) write(addr uint64, line pte.Line, countFail bool) error {
+	var err0 error
+	for i, l := range s.lanes {
+		_, err := l.ctrl.WriteLine(addr, line)
+		if err != nil && countFail {
+			l.checkFails++
+		}
+		if i == 0 {
+			err0 = err
+		} else if (err != nil) != (err0 != nil) {
+			l.diverged = true
+		}
+	}
+	return err0
+}
+
+// emit records one trace event on every lane's observer.
+func (s *System) emit(cat, name string) {
+	for _, l := range s.lanes {
+		l.cfg.Obs.Emit(cat, name, 0)
+	}
 }
 
 // FlushCaches empties the cache hierarchy and TLB, forcing subsequent walks
@@ -383,11 +491,13 @@ func (s *System) accessData(ref workload.Ref) {
 	vpn := ref.VAddr >> pte.PageShift
 	pfn, ok := s.tlb.Lookup(vpn)
 	if !ok {
-		walkStart := s.core.Cycles()
+		for _, l := range s.lanes {
+			l.walkStart = l.core.Cycles()
+		}
 		res := s.walker.Walk(s.tables.Root(), ref.VAddr)
-		if s.obs != nil {
-			s.obs.EmitAt("mmu", "walk", uint64(walkStart),
-				uint64(s.core.Cycles()-walkStart))
+		for _, l := range s.lanes {
+			l.cfg.Obs.EmitAt("mmu", "walk", uint64(l.walkStart),
+				uint64(l.core.Cycles()-l.walkStart))
 		}
 		if res.CheckFailed || res.Fault {
 			// A faulted translation cannot proceed; the exception
@@ -407,7 +517,7 @@ func (s *System) accessData(ref workload.Ref) {
 
 	res1 := s.l1d.Access(paddr, ref.Write)
 	if res1.Hit {
-		s.core.StallMemory(latL1)
+		s.stall(latL1)
 		return
 	}
 	if res1.WBValid {
@@ -415,36 +525,33 @@ func (s *System) accessData(ref workload.Ref) {
 		s.writeback(res1.Writeback)
 	}
 	if res := s.l2.Access(paddr, false); res.Hit {
-		s.core.StallMemory(latL1 + latL2)
+		s.stall(latL1 + latL2)
 		return
 	} else if res.WBValid {
 		s.writeback(res.Writeback)
 	}
 	if res := s.l3.Access(paddr, false); res.Hit {
-		s.core.StallMemory(latL1 + latL2 + latL3)
+		s.stall(latL1 + latL2 + latL3)
 		return
 	} else if res.WBValid {
 		s.writeback(res.Writeback)
 	}
-	if !s.dev.Contains(paddr) {
-		// First touch: materialise the line's pre-existing content
-		// through the controller (not charged to the core).
-		if _, err := s.ctrl.WriteLine(paddr, s.dataLineFor(paddr)); err != nil {
-			s.checkFails++
+	for _, l := range s.lanes {
+		if !l.dev.Contains(paddr) {
+			// First touch: materialise the line's pre-existing
+			// content through the controller (not charged to the
+			// core).
+			if _, err := l.ctrl.WriteLine(paddr, s.dataLineFor(paddr)); err != nil {
+				l.checkFails++
+			}
 		}
 	}
-	_, lat, ok2 := s.ctrl.ReadLine(paddr, false)
-	if !ok2 {
-		s.checkFails++
-	}
-	s.core.StallMemory(latL1 + latL2 + latL3 + lat)
+	s.read(paddr, false, latL1+latL2+latL3, true)
 }
 
 // writeback posts a dirty line to memory; the core does not stall.
 func (s *System) writeback(addr uint64) {
-	if _, err := s.ctrl.WriteLine(addr, s.dataLineFor(addr)); err != nil {
-		s.checkFails++
-	}
+	s.write(addr, s.dataLineFor(addr), true)
 }
 
 // Result summarises one run.
@@ -466,7 +573,9 @@ type Result struct {
 
 // step executes one instruction.
 func (s *System) step() {
-	s.core.Retire(1)
+	for _, l := range s.lanes {
+		l.core.Retire(1)
+	}
 	if s.gen.IsMemRef() {
 		s.accessData(s.gen.Next())
 	}
@@ -499,9 +608,7 @@ func (s *System) churnOnePage() {
 	}
 	s.tables.Own(newPFN, 1)
 	arch, _ := s.tables.LineAt(lineAddr)
-	if _, err := s.ctrl.WriteLine(lineAddr, arch); err != nil {
-		s.checkFails++
-	}
+	s.write(lineAddr, arch, true)
 	// Shoot down stale translation state.
 	s.tlb.Flush()
 	s.l2.Invalidate(lineAddr)
@@ -510,43 +617,75 @@ func (s *System) churnOnePage() {
 	s.churns++
 }
 
-// Run executes n instructions and returns the measurements.
+// Run executes n instructions and returns lane 0's measurements.
 func (s *System) Run(n int) (Result, error) {
+	res, err := s.run(n)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
+// run executes n instructions and returns one Result per lane.
+func (s *System) run(n int) ([]Result, error) {
 	if n <= 0 {
-		return Result{}, errors.New("sim: instruction count must be positive")
+		return nil, errors.New("sim: instruction count must be positive")
 	}
 	for i := 0; i < n; i++ {
 		s.step()
-		if s.obs.ShouldSnapshot(s.core.Instructions()) {
-			s.publishObs()
-			s.obs.Snapshot(uint64(s.core.Cycles()), s.core.Instructions())
+		for _, l := range s.lanes {
+			if l.cfg.Obs.ShouldSnapshot(l.core.Instructions()) {
+				s.snapshot(l)
+			}
 		}
 	}
-	if s.obs != nil {
-		// Run-final snapshot: the registry reflects the completed run and
-		// the series always carries at least one point per Run call.
-		s.publishObs()
-		s.obs.Snapshot(uint64(s.core.Cycles()), s.core.Instructions())
+	out := make([]Result, len(s.lanes))
+	for i, l := range s.lanes {
+		if l.cfg.Obs != nil {
+			// Run-final snapshot: the registry reflects the completed
+			// run and the series always carries at least one point per
+			// Run call.
+			s.snapshot(l)
+		}
+		out[i] = s.result(l)
 	}
+	return out, nil
+}
+
+// measure warms s for warmup instructions, resets its statistics, and runs
+// the measured window, returning one Result per lane.
+func (s *System) measure(warmup, instructions int) ([]Result, error) {
+	if warmup > 0 {
+		if _, err := s.run(warmup); err != nil {
+			return nil, err
+		}
+		s.ResetStats()
+	}
+	return s.run(instructions)
+}
+
+// result reports lane l's measurements.
+func (s *System) result(l *lane) Result {
 	res := Result{
 		Workload:     s.gen.Profile().Name,
-		Mode:         s.cfg.Mode,
-		Instructions: s.core.Instructions(),
-		Cycles:       s.core.Cycles(),
-		IPC:          s.core.IPC(),
+		Mode:         l.cfg.Mode,
+		Instructions: l.core.Instructions(),
+		Cycles:       l.core.Cycles(),
+		IPC:          l.core.IPC(),
 		TLBMissRate:  s.tlb.Stats().MissRate(),
 		PageWalks:    s.walker.Stats().Walks,
-		CheckFails:   s.checkFails,
+		CheckFails:   l.checkFails,
 		Churns:       s.churns,
 		Recovery:     s.recovery,
-		Ctrl:         s.ctrl.Stats(),
+		Ctrl:         l.ctrl.Stats(),
 	}
-	l3 := s.l3.Stats()
-	res.LLCMPKI = 1000 * float64(l3.Misses) / float64(res.Instructions)
-	if g := s.ctrl.Guard(); g != nil {
+	if res.Instructions > 0 {
+		res.LLCMPKI = 1000 * float64(s.l3.Stats().Misses) / float64(res.Instructions)
+	}
+	if g := l.ctrl.Guard(); g != nil {
 		res.Guard = g.Counters()
 	}
-	return res, nil
+	return res
 }
 
 // ResetStats zeroes every measurement counter while keeping caches, TLB and
@@ -554,37 +693,36 @@ func (s *System) Run(n int) (Result, error) {
 // forwarding to a representative region (§III): run a warm-up, reset, then
 // measure.
 func (s *System) ResetStats() {
-	s.core.ResetStats()
 	s.l1d.ResetStats()
 	s.l2.ResetStats()
 	s.l3.ResetStats()
 	s.tlb.ResetStats()
 	s.walker.ResetStats()
-	s.ctrl.ResetStats()
-	s.checkFails = 0
 	s.recovery = RecoveryStats{}
 	s.walkTrace = nil
-	if g := s.ctrl.Guard(); g != nil {
-		g.ResetCounters()
+	for _, l := range s.lanes {
+		l.core.ResetStats()
+		l.ctrl.ResetStats()
+		l.checkFails = 0
+		if g := l.ctrl.Guard(); g != nil {
+			g.ResetCounters()
+		}
+		l.cfg.Obs.Reset()
 	}
-	s.obs.Reset()
 }
 
-// publishObs copies every component's internal counters into the metric
-// registry (the snapshot feed path; a no-op when observability is off).
-func (s *System) publishObs() {
-	r := s.obs.Registry()
-	if r == nil {
-		return
-	}
-	s.core.PublishObs(r)
+// snapshot publishes lane l's view of every component into its metric
+// registry and records one time-series point.
+func (s *System) snapshot(l *lane) {
+	r := l.cfg.Obs.Registry()
+	l.core.PublishObs(r)
 	s.l1d.PublishObs(r)
 	s.l2.PublishObs(r)
 	s.l3.PublishObs(r)
 	s.tlb.PublishObs(r)
 	s.walker.PublishObs(r)
-	s.ctrl.PublishObs(r)
-	r.SetCounter("sim.check_fails", s.checkFails)
+	l.ctrl.PublishObs(r)
+	r.SetCounter("sim.check_fails", l.checkFails)
 	r.SetCounter("sim.churns", s.churns)
 	r.SetCounter("sim.page_walks", s.walker.Stats().Walks)
 	r.SetCounter("sim.recovery.raised", s.recovery.Raised)
@@ -592,6 +730,7 @@ func (s *System) publishObs() {
 	r.SetCounter("sim.recovery.remaps", s.recovery.Remaps)
 	r.SetCounter("sim.recovery.recovered", s.recovery.Recovered)
 	r.SetCounter("sim.recovery.fatal", s.recovery.Fatal)
+	l.cfg.Obs.Snapshot(uint64(l.core.Cycles()), l.core.Instructions())
 }
 
 // WalkTrace returns the recorded DRAM-level PTE line fetches (TraceWalks).
@@ -605,8 +744,8 @@ func (s *System) WalkTrace() []uint64 {
 // them in place).
 func (s *System) Tables() *ostable.PageTables { return s.tables }
 
-// Controller exposes the memory controller.
-func (s *System) Controller() *memctrl.Controller { return s.ctrl }
+// Controller exposes lane 0's memory controller.
+func (s *System) Controller() *memctrl.Controller { return s.lanes[0].ctrl }
 
-// Device exposes the DRAM device.
-func (s *System) Device() *dram.Device { return s.dev }
+// Device exposes lane 0's DRAM device.
+func (s *System) Device() *dram.Device { return s.lanes[0].dev }
