@@ -204,6 +204,26 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	}
 
+	// A bad Fig. 9 or ablation grid fails up front with one error instead
+	// of expanding jobs that each fail on the same parameter.
+	for _, bad := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sections", "correction", "-correction-lines", "-5"}, "harness: correction"},
+		{[]string{"-sections", "ablation", "-flip-prob", "1.5"}, "harness: ablation"},
+		{[]string{"-sections", "ablation", "-flip-prob", "-0.5"}, "harness: ablation"},
+		{[]string{"-sections", "ablation", "-ablation-lines", "-1"}, "harness: ablation"},
+	} {
+		args := append([]string{"-quiet"}, bad.args...)
+		out, err := exec.Command(filepath.Join(binDir, "ptguard-sweep"), args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("ptguard-sweep accepted %v", bad.args)
+		} else if !strings.Contains(string(out), bad.want) {
+			t.Errorf("ptguard-sweep %v: unclear error %q", bad.args, out)
+		}
+	}
+
 	// Kill-resume determinism: a soak cycle that really SIGKILLs the
 	// campaign mid-journal-write (short write included) and corrupts the
 	// journal between legs must still converge to a report byte-identical

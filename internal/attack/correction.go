@@ -68,45 +68,28 @@ func (r CorrectionResult) CoveragePct() float64 {
 }
 
 // RunCorrection reproduces the Fig. 9 methodology: synthesise page tables
-// with realistic value locality (§VI-B), protect them through the memory
-// controller, flip each bit of each PTE cacheline with probability
-// FlipProb, and replay page-table walks through the correction-enabled
-// guard.
+// with realistic value locality (§VI-B), protect the sampled leaf PTE
+// cachelines through the memory controller, flip each bit of each line
+// with probability FlipProb, and replay page-table walks through the
+// correction-enabled guard.
 //
 // The trial loop is sharded across GOMAXPROCS goroutines: each trial draws
 // its faults from an RNG seeded by DeriveSeed(Seed, trial index) and runs
 // against a shard-local guard, so the result is bit-identical however many
 // shards execute it (see stats.ShardTrials).
 func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
-	if cfg.FlipProb <= 0 || cfg.FlipProb >= 1 {
-		return CorrectionResult{}, errors.New("attack: FlipProb outside (0, 1)")
-	}
-	if cfg.Lines <= 0 {
-		return CorrectionResult{}, errors.New("attack: Lines must be positive")
-	}
-	k := cfg.SoftMatchK
-	if k == 0 {
-		k = 4
-	}
-	format, err := pte.FormatX86(40)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return CorrectionResult{}, err
 	}
-	guardCfg := core.Config{
-		Format:              format,
-		Key:                 testbed.Key(stats.NewRNG(cfg.Seed ^ 0xF19)),
-		TagBits:             cfg.TagBits,
-		EnableCorrection:    true,
-		SoftMatchK:          k,
-		DisableFlipAndCheck: cfg.DisableFlipAndCheck,
-		DisableZeroReset:    cfg.DisableZeroReset,
-		DisableFlagVote:     cfg.DisableFlagVote,
-		DisableContiguity:   cfg.DisableContiguity,
+	guardCfg, err := cfg.guardConfig(testbed.Key(stats.NewRNG(cfg.Seed ^ 0xF19)))
+	if err != nil {
+		return CorrectionResult{}, err
 	}
 	guard, err := core.NewGuard(guardCfg)
 	if err != nil {
 		return CorrectionResult{}, err
 	}
+	format := guardCfg.Format
 	m, err := testbed.New(guard, 0)
 	if err != nil {
 		return CorrectionResult{}, err
@@ -114,7 +97,7 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 	// A fixed pool of protected PTE lines from several synthetic
 	// processes, so every flip probability is evaluated over the same
 	// line population (no sample-composition bias between sweep points).
-	pool, err := testbed.Pool(m, cfg.Seed)
+	pool, err := testbed.Pool(m, cfg.Seed, cfg.Lines)
 	if err != nil {
 		return CorrectionResult{}, err
 	}
@@ -157,6 +140,47 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// Validate reports, without running anything, the error RunCorrection
+// would return for cfg's parameters: a flip probability outside (0, 1), a
+// non-positive line count, or a soft-match budget or tag width the guard
+// rejects.
+func (cfg CorrectionConfig) Validate() error {
+	if cfg.FlipProb <= 0 || cfg.FlipProb >= 1 {
+		return errors.New("attack: FlipProb outside (0, 1)")
+	}
+	if cfg.Lines <= 0 {
+		return errors.New("attack: Lines must be positive")
+	}
+	guardCfg, err := cfg.guardConfig(nil)
+	if err != nil {
+		return err
+	}
+	return guardCfg.Validate()
+}
+
+// guardConfig is the correction-enabled guard configuration cfg selects.
+func (cfg CorrectionConfig) guardConfig(key []byte) (core.Config, error) {
+	k := cfg.SoftMatchK
+	if k == 0 {
+		k = 4
+	}
+	format, err := pte.FormatX86(40)
+	if err != nil {
+		return core.Config{}, err
+	}
+	return core.Config{
+		Format:              format,
+		Key:                 key,
+		TagBits:             cfg.TagBits,
+		EnableCorrection:    true,
+		SoftMatchK:          k,
+		DisableFlipAndCheck: cfg.DisableFlipAndCheck,
+		DisableZeroReset:    cfg.DisableZeroReset,
+		DisableFlagVote:     cfg.DisableFlagVote,
+		DisableContiguity:   cfg.DisableContiguity,
+	}, nil
 }
 
 // trialVerdict is one Fig. 9 trial's classification.

@@ -168,22 +168,36 @@ type macMemoEntry struct {
 	tag mac.Tag
 }
 
+// Validate reports the parameter errors NewGuard checks before it builds
+// the MAC engine: a missing format, a negative MAC latency, a tag wider
+// than the line's MAC capacity, or a soft-match budget outside
+// [0, tag bits), which also rules out a non-positive tag width. The engine
+// itself can still reject the key, the round count or a QARMA-64 tag
+// width.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if c.Format.Name == "" {
+		return errors.New("core: config needs a PTE format")
+	}
+	if c.MACLatencyCycles < 0 {
+		return fmt.Errorf("core: negative MAC latency %d cycles", c.MACLatencyCycles)
+	}
+	macCapacity := c.Format.MACBitsPerLine()
+	if c.TagBits > macCapacity {
+		return fmt.Errorf("core: %d-bit tag exceeds %d-bit line capacity", c.TagBits, macCapacity)
+	}
+	if c.SoftMatchK < 0 || c.SoftMatchK >= c.TagBits {
+		return fmt.Errorf("core: soft-match budget %d outside [0, tag bits)", c.SoftMatchK)
+	}
+	return nil
+}
+
 // NewGuard validates cfg and builds a Guard.
 func NewGuard(cfg Config) (*Guard, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
-	if cfg.Format.Name == "" {
-		return nil, errors.New("core: config needs a PTE format")
-	}
-	if cfg.MACLatencyCycles < 0 {
-		return nil, fmt.Errorf("core: negative MAC latency %d cycles", cfg.MACLatencyCycles)
-	}
-	macCapacity := cfg.Format.MACBitsPerLine()
-	if cfg.TagBits > macCapacity {
-		return nil, fmt.Errorf("core: %d-bit tag exceeds %d-bit line capacity", cfg.TagBits, macCapacity)
-	}
-	if cfg.SoftMatchK < 0 || cfg.SoftMatchK >= cfg.TagBits {
-		return nil, fmt.Errorf("core: soft-match budget %d outside [0, tag bits)", cfg.SoftMatchK)
-	}
 	opts := []mac.Option{mac.WithTagBits(cfg.TagBits)}
 	if cfg.UseQARMA64 {
 		opts = append(opts, mac.WithQARMA64())

@@ -127,8 +127,9 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	hmr.SetObserver(oracle.RecordFlip)
 
 	// The fixed pool of protected PTE lines attack.RunCorrection uses:
-	// every model sees the same population.
-	pool, err := testbed.Pool(m, cfg.Seed)
+	// every model sees the same population. The trial loop indexes at most
+	// MaxTrials of its lines, so only those are installed.
+	pool, err := testbed.Pool(m, cfg.Seed, cfg.MaxTrials)
 	if err != nil {
 		return CampaignResult{}, err
 	}

@@ -398,17 +398,24 @@ func (s AblationSpec) withDefaults() AblationSpec {
 	return s
 }
 
-// Jobs expands the spec into one job per ablation configuration.
+// Jobs expands the spec into one job per ablation configuration. A
+// configuration attack.RunCorrection would reject (a negative Lines, a
+// FlipProb outside (0, 1), a negative soft-match k, a tag width the guard
+// cannot hold) is an error before any job is built, instead of one failed
+// job per grid point.
 func (s AblationSpec) Jobs(campaignSeed uint64) ([]Job[AblationResult], error) {
 	s = s.withDefaults()
 	var jobs []Job[AblationResult]
+	var bad error
 	add := func(key string, res AblationResult, mutate func(*attack.CorrectionConfig)) {
-		seed := DeriveSeed(campaignSeed, key)
+		cfg := attack.CorrectionConfig{FlipProb: s.FlipProb, Lines: s.Lines, Seed: DeriveSeed(campaignSeed, key)}
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil && bad == nil {
+			bad = fmt.Errorf("harness: %s: %w", key, err)
+		}
 		jobs = append(jobs, Job[AblationResult]{
 			Key: key,
 			Run: func(context.Context) (AblationResult, error) {
-				cfg := attack.CorrectionConfig{FlipProb: s.FlipProb, Lines: s.Lines, Seed: seed}
-				mutate(&cfg)
 				r, err := attack.RunCorrection(cfg)
 				res.Correction = r
 				return res, err
@@ -431,6 +438,9 @@ func (s AblationSpec) Jobs(campaignSeed uint64) ([]Job[AblationResult], error) {
 		add(fmt.Sprintf("ablation/width/%d", w),
 			AblationResult{Kind: AblationWidth, Label: fmt.Sprintf("%d-bit", w), TagBits: w},
 			func(c *attack.CorrectionConfig) { c.TagBits = w })
+	}
+	if bad != nil {
+		return nil, bad
 	}
 	return jobs, nil
 }
@@ -497,20 +507,23 @@ func (s CorrectionSpec) withDefaults() CorrectionSpec {
 	return s
 }
 
-// Jobs expands the spec into one job per flip probability.
+// Jobs expands the spec into one job per flip probability. A negative
+// Lines or a probability outside (0, 1) is an error before any job is
+// built.
 func (s CorrectionSpec) Jobs(campaignSeed uint64) ([]Job[CorrectionPoint], error) {
 	s = s.withDefaults()
 	var jobs []Job[CorrectionPoint]
 	for _, p := range s.Probs {
 		p := p
 		key := fmt.Sprintf("correction/p=%g", p)
-		seed := DeriveSeed(campaignSeed, key)
+		cfg := attack.CorrectionConfig{FlipProb: p, Lines: s.Lines, Seed: DeriveSeed(campaignSeed, key)}
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("harness: %s: %w", key, err)
+		}
 		jobs = append(jobs, Job[CorrectionPoint]{
 			Key: key,
 			Run: func(context.Context) (CorrectionPoint, error) {
-				r, err := attack.RunCorrection(attack.CorrectionConfig{
-					FlipProb: p, Lines: s.Lines, Seed: seed,
-				})
+				r, err := attack.RunCorrection(cfg)
 				return CorrectionPoint{FlipProb: p, Result: r}, err
 			},
 		})

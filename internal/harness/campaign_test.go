@@ -117,6 +117,43 @@ func TestSlowdownSpecRejectsBadGrid(t *testing.T) {
 	}
 }
 
+// TestCorrectionSpecsRejectBadGrid: a Fig. 9 or ablation grid point
+// attack.RunCorrection would reject is one error from Jobs, with no job
+// expanded; a valid grid still expands.
+func TestCorrectionSpecsRejectBadGrid(t *testing.T) {
+	for name, spec := range map[string]CorrectionSpec{
+		"lines -5":  {Lines: -5},
+		"p 0":       {Probs: []float64{1.0 / 512, 0}},
+		"p 1.5":     {Probs: []float64{1.5}},
+		"p -0.1":    {Probs: []float64{-0.1}},
+		"p exactly": {Probs: []float64{1}},
+	} {
+		if jobs, err := spec.Jobs(1); err == nil || jobs != nil {
+			t.Errorf("correction %s: got %d jobs, err %v; want an error and no jobs", name, len(jobs), err)
+		}
+	}
+	for name, spec := range map[string]AblationSpec{
+		"lines -5":  {Lines: -5},
+		"p 1.5":     {FlipProb: 1.5},
+		"p -0.5":    {FlipProb: -0.5},
+		"soft-k -1": {SoftKs: []int{1, -1}},
+		"soft-k 96": {SoftKs: []int{96}},
+		"width -8":  {Widths: []int{64, -8}},
+		"width 4":   {Widths: []int{4}},
+		"width 200": {Widths: []int{200}},
+	} {
+		if jobs, err := spec.Jobs(1); err == nil || jobs != nil {
+			t.Errorf("ablation %s: got %d jobs, err %v; want an error and no jobs", name, len(jobs), err)
+		}
+	}
+	if jobs, err := (CorrectionSpec{}).Jobs(1); err != nil || len(jobs) != len(attack.Fig9FlipProbs) {
+		t.Errorf("default correction grid: %d jobs, err %v", len(jobs), err)
+	}
+	if jobs, err := (AblationSpec{}).Jobs(1); err != nil || len(jobs) != 13 {
+		t.Errorf("default ablation grid: %d jobs, err %v; want 13", len(jobs), err)
+	}
+}
+
 func TestMulticoreSpecJobsAndMixes(t *testing.T) {
 	spec := MulticoreSpec{SameMixes: 2, MixMixes: 3}
 	mixesA := spec.Mixes(7)

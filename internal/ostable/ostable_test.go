@@ -359,4 +359,8 @@ func TestMapHugeValidation(t *testing.T) {
 	if err := pt.MapHuge(0x40_0000_0000, 0x40000, 0); err == nil {
 		t.Error("double huge map accepted")
 	}
+	// A 4 KB mapping inside the huge page has no leaf table to land in.
+	if err := pt.Map(0x40_0000_0000+pte.PageSize, 0x50000, 0); err == nil {
+		t.Error("4 KB map inside a huge mapping accepted")
+	}
 }

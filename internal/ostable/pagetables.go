@@ -3,7 +3,7 @@ package ostable
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ptguard/internal/pte"
 )
@@ -15,7 +15,7 @@ const tableLevels = 4
 const linesPerTable = pte.PageSize / pte.LineBytes
 
 // PageTables builds and holds one process's 4-level x86_64 page tables in a
-// shadow store of 64-byte lines, exactly as the trusted kernel would write
+// shadow store of 4 KB table pages, exactly as the trusted kernel would write
 // them to memory (unused PFN bits and reserved bits zeroed, so PT-Guard's
 // bit-pattern match succeeds on every table line).
 // Not safe for concurrent use.
@@ -23,16 +23,16 @@ type PageTables struct {
 	alloc *FrameAllocator
 	root  uint64 // physical address of the PML4 page
 
-	// lines maps line-aligned physical addresses to table content for
-	// every allocated table page.
-	lines map[uint64]pte.Line
+	// pages maps the base address of every allocated table page to its 64
+	// cachelines of content.
+	pages map[uint64]*tablePage
 	// tablePages records allocated table page frames per level for
 	// profiling and teardown; tablePages[3] are leaf PT pages.
 	tablePages [tableLevels][]uint64
 
-	// owned records data frames whose lifetime is tied to this process
-	// (used by the population synthesiser for teardown).
-	owned []uint64
+	// owned records the runs of data frames whose lifetime is tied to
+	// this process (used by the population synthesiser for teardown).
+	owned []frameRun
 
 	// parents maps each non-root table page's base address to the
 	// physical address of the parent entry referencing it, enabling the
@@ -49,7 +49,7 @@ func NewPageTables(alloc *FrameAllocator) (*PageTables, error) {
 	}
 	p := &PageTables{
 		alloc:   alloc,
-		lines:   make(map[uint64]pte.Line),
+		pages:   make(map[uint64]*tablePage),
 		parents: make(map[uint64]uint64),
 	}
 	rootPFN, err := p.allocTable(0)
@@ -70,7 +70,7 @@ func (p *PageTables) MappedPages() uint64 { return p.mapped }
 func (p *PageTables) LeafTablePages() []uint64 {
 	out := make([]uint64, len(p.tablePages[tableLevels-1]))
 	copy(out, p.tablePages[tableLevels-1])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -89,23 +89,38 @@ func (p *PageTables) allocTable(level int) (uint64, error) {
 		return 0, err
 	}
 	base := pfn << pte.PageShift
-	for i := 0; i < linesPerTable; i++ {
-		p.lines[base+uint64(i*pte.LineBytes)] = pte.Line{}
-	}
+	p.pages[base] = new(tablePage)
 	p.tablePages[level] = append(p.tablePages[level], base)
 	return pfn, nil
 }
 
-func (p *PageTables) entry(ea uint64) pte.Entry {
-	line := p.lines[ea&^uint64(pte.LineBytes-1)]
-	return line[ea/8%pte.PTEsPerLine]
+// tablePage is the content of one 4 KB table page, line by line.
+type tablePage [linesPerTable]pte.Line
+
+// line returns the table line holding addr, nil when addr is not in a
+// table page of this process.
+func (p *PageTables) line(addr uint64) *pte.Line {
+	page := p.pages[addr&^uint64(pte.PageSize-1)]
+	if page == nil {
+		return nil
+	}
+	return &page[addr%pte.PageSize/pte.LineBytes]
 }
 
-func (p *PageTables) setEntry(ea uint64, e pte.Entry) {
-	key := ea &^ uint64(pte.LineBytes-1)
-	line := p.lines[key]
-	line[ea/8%pte.PTEsPerLine] = e
-	p.lines[key] = line
+// slot returns the table entry at ea, nil when ea is not in a table page
+// of this process.
+func (p *PageTables) slot(ea uint64) *pte.Entry {
+	if line := p.line(ea); line != nil {
+		return &line[ea/8%pte.PTEsPerLine]
+	}
+	return nil
+}
+
+func (p *PageTables) entry(ea uint64) pte.Entry {
+	if s := p.slot(ea); s != nil {
+		return *s
+	}
+	return 0
 }
 
 func entryAddress(tableBase, vaddr uint64, level int) uint64 {
@@ -125,28 +140,39 @@ func (p *PageTables) Map(vaddr, pfn uint64, flags pte.Entry) error {
 	if vaddr%pte.PageSize != 0 {
 		return fmt.Errorf("ostable: unaligned vaddr %#x", vaddr)
 	}
+	leaf, err := p.descend(vaddr, tableLevels-1)
+	if err != nil {
+		return err
+	}
+	if leaf.Present() {
+		return fmt.Errorf("ostable: vaddr %#x already mapped", vaddr)
+	}
+	*leaf = flags.SetBit(pte.BitPresent, true).WithPFN(pfn)
+	p.mapped++
+	return nil
+}
+
+// descend walks vaddr from the root down to its entry in the table at
+// level depth, creating missing intermediate tables, and returns that
+// entry. A huge mapping on the way is an error: it has no table below.
+func (p *PageTables) descend(vaddr uint64, depth int) (*pte.Entry, error) {
 	base := p.root
-	for level := 0; level < tableLevels-1; level++ {
+	for level := 0; level < depth; level++ {
 		ea := entryAddress(base, vaddr, level)
-		e := p.entry(ea)
+		e := p.slot(ea)
 		if !e.Present() {
 			newPFN, err := p.allocTable(level + 1)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			e = tableFlags.WithPFN(newPFN)
-			p.setEntry(ea, e)
+			*e = tableFlags.WithPFN(newPFN)
 			p.parents[newPFN<<pte.PageShift] = ea
+		} else if e.Bit(pte.BitHugePage) {
+			return nil, fmt.Errorf("ostable: vaddr %#x already mapped by a huge page", vaddr)
 		}
 		base = e.PFN() << pte.PageShift
 	}
-	leafEA := entryAddress(base, vaddr, tableLevels-1)
-	if p.entry(leafEA).Present() {
-		return fmt.Errorf("ostable: vaddr %#x already mapped", vaddr)
-	}
-	p.setEntry(leafEA, flags.SetBit(pte.BitPresent, true).WithPFN(pfn))
-	p.mapped++
-	return nil
+	return p.slot(entryAddress(base, vaddr, depth)), nil
 }
 
 // HugePageSize is the 2 MB large-page size (PDE with the PS bit set).
@@ -165,30 +191,17 @@ func (p *PageTables) MapHuge(vaddr, pfn uint64, flags pte.Entry) error {
 	if pfn%hugePFNSpan != 0 {
 		return fmt.Errorf("ostable: unaligned huge pfn %#x", pfn)
 	}
-	base := p.root
-	for level := 0; level < tableLevels-2; level++ {
-		ea := entryAddress(base, vaddr, level)
-		e := p.entry(ea)
-		if !e.Present() {
-			newPFN, err := p.allocTable(level + 1)
-			if err != nil {
-				return err
-			}
-			e = tableFlags.WithPFN(newPFN)
-			p.setEntry(ea, e)
-			p.parents[newPFN<<pte.PageShift] = ea
-		}
-		base = e.PFN() << pte.PageShift
+	pde, err := p.descend(vaddr, tableLevels-2)
+	if err != nil {
+		return err
 	}
-	pdEA := entryAddress(base, vaddr, tableLevels-2)
-	if p.entry(pdEA).Present() {
+	if pde.Present() {
 		return fmt.Errorf("ostable: vaddr %#x already mapped", vaddr)
 	}
-	leaf := flags.
+	*pde = flags.
 		SetBit(pte.BitPresent, true).
 		SetBit(pte.BitHugePage, true).
 		WithPFN(pfn)
-	p.setEntry(pdEA, leaf)
 	p.mapped += hugePFNSpan
 	return nil
 }
@@ -222,19 +235,21 @@ func (p *PageTables) Remap(vaddr, newPFN uint64) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("ostable: vaddr %#x not mapped", vaddr)
 	}
-	e := p.entry(ea)
-	if !e.Present() {
+	e := p.slot(ea)
+	if e == nil || !e.Present() {
 		return 0, fmt.Errorf("ostable: vaddr %#x not present", vaddr)
 	}
-	p.setEntry(ea, e.WithPFN(newPFN))
+	*e = e.WithPFN(newPFN)
 	return ea &^ uint64(pte.LineBytes-1), nil
 }
 
 // LineAt returns the architectural content of the table cacheline at addr,
 // ok=false when addr is not a table line of this process.
 func (p *PageTables) LineAt(addr uint64) (pte.Line, bool) {
-	line, ok := p.lines[addr&^uint64(pte.LineBytes-1)]
-	return line, ok
+	if line := p.line(addr); line != nil {
+		return *line, true
+	}
+	return pte.Line{}, false
 }
 
 // LeafEntryAddr returns the physical address of the leaf PTE mapping vaddr,
@@ -258,33 +273,34 @@ func (p *PageTables) LeafEntryAddr(vaddr uint64) (uint64, bool) {
 // controller, which embeds the MACs; the deterministic order keeps DRAM
 // row-buffer state reproducible across runs.
 func (p *PageTables) Lines(fn func(addr uint64, line pte.Line)) {
-	addrs := make([]uint64, 0, len(p.lines))
-	for addr := range p.lines {
-		addrs = append(addrs, addr)
+	bases := make([]uint64, 0, len(p.pages))
+	for base := range p.pages {
+		bases = append(bases, base)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		fn(addr, p.lines[addr])
+	slices.Sort(bases)
+	for _, base := range bases {
+		p.PageLines(base, fn)
 	}
 }
 
 // LeafLines calls fn for every cacheline of every leaf PT page in address
 // order: the PTE lines whose locality Fig. 8 profiles and Fig. 9 corrupts.
 func (p *PageTables) LeafLines(fn func(addr uint64, line pte.Line)) {
-	for _, page := range p.LeafTablePages() {
-		for i := 0; i < linesPerTable; i++ {
-			addr := page + uint64(i*pte.LineBytes)
-			fn(addr, p.lines[addr])
-		}
+	for _, base := range p.LeafTablePages() {
+		p.PageLines(base, fn)
 	}
 }
 
 // Own ties n data frames starting at pfn to this process's lifetime, so
 // Free returns them to the allocator.
 func (p *PageTables) Own(pfn uint64, n int) {
-	for i := 0; i < n; i++ {
-		p.owned = append(p.owned, pfn+uint64(i))
-	}
+	p.owned = append(p.owned, frameRun{pfn: pfn, n: n})
+}
+
+// frameRun is n contiguous frames starting at pfn.
+type frameRun struct {
+	pfn uint64
+	n   int
 }
 
 // Free releases every table page — and every owned data frame — back to the
@@ -297,11 +313,13 @@ func (p *PageTables) Free() {
 		}
 		p.tablePages[level] = nil
 	}
-	for _, pfn := range p.owned {
-		_ = p.alloc.FreeOrder(pfn, 0)
+	for _, run := range p.owned {
+		for i := 0; i < run.n; i++ {
+			_ = p.alloc.FreeOrder(run.pfn+uint64(i), 0)
+		}
 	}
 	p.owned = nil
-	p.lines = make(map[uint64]pte.Line)
+	clear(p.pages)
 }
 
 // PageLines calls fn for each of the 64 cachelines of the table page at
@@ -309,11 +327,12 @@ func (p *PageTables) Free() {
 // through the memory controller.
 func (p *PageTables) PageLines(base uint64, fn func(addr uint64, line pte.Line)) {
 	base &^= uint64(pte.PageSize - 1)
-	for i := 0; i < linesPerTable; i++ {
-		addr := base + uint64(i*pte.LineBytes)
-		if line, ok := p.lines[addr]; ok {
-			fn(addr, line)
-		}
+	page := p.pages[base]
+	if page == nil {
+		return
+	}
+	for i, line := range page {
+		fn(base+uint64(i*pte.LineBytes), line)
 	}
 }
 
@@ -342,15 +361,12 @@ func (p *PageTables) RemapTablePage(oldPage uint64) (uint64, error) {
 		return 0, err
 	}
 	newPage := newPFN << pte.PageShift
-	// Move the 64 cachelines of content.
-	for i := 0; i < linesPerTable; i++ {
-		off := uint64(i * pte.LineBytes)
-		p.lines[newPage+off] = p.lines[oldPage+off]
-		delete(p.lines, oldPage+off)
-	}
+	// Move the page's content.
+	p.pages[newPage] = p.pages[oldPage]
+	delete(p.pages, oldPage)
 	// Repoint the parent entry.
-	parent := p.entry(parentEA)
-	p.setEntry(parentEA, parent.WithPFN(newPFN))
+	parent := p.slot(parentEA)
+	*parent = parent.WithPFN(newPFN)
 	// Fix bookkeeping: the page's slot in tablePages, its own parent
 	// record, and the parent records of its children (their parent EA
 	// moved with the page).

@@ -11,6 +11,7 @@ package testbed
 
 import (
 	"errors"
+	"slices"
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
@@ -94,38 +95,70 @@ type Line struct {
 }
 
 // Pool synthesises a fixed set of processes from the §VI-B population
-// seeded by seed, installs their tables through m, and returns their leaf
-// lines. The tables stay allocated, so no two pooled lines alias a frame.
-// The pool is shuffled by an RNG of its own, so small runs sample a
-// representative mix of zero-heavy and dense lines and every sweep point
-// visits the same lines in the same order.
-func Pool(m Machine, seed uint64) ([]Line, error) {
+// seeded by seed and returns the first n lines (all of them when n exceeds
+// the pool) of their shuffled leaf lines, installed through m. The tables
+// stay allocated, so no two pooled lines alias a frame. The pool is
+// shuffled by an RNG of its own, so small runs sample a representative mix
+// of zero-heavy and dense lines and every sweep point visits the same lines
+// in the same order.
+//
+// Only the returned lines are written to memory: the guard's write path is
+// a pure function of (line, address, key), so each protected image is the
+// one a full install of every table line would have stored.
+func Pool(m Machine, seed uint64, n int) ([]Line, error) {
+	if n <= 0 {
+		return nil, errors.New("testbed: pool size must be positive")
+	}
 	synth := ostable.DefaultSynthConfig()
 	synth.Seed = seed
 	pop, err := ostable.NewPopulation(synth, m.Alloc)
 	if err != nil {
 		return nil, err
 	}
-	var pool []Line
-	for p := 0; p < poolProcesses; p++ {
-		tables, err := pop.SynthesizeProcess()
-		if err != nil {
+	procs := make([]*ostable.PageTables, poolProcesses)
+	var addrs []uint64
+	for p := range procs {
+		if procs[p], err = pop.SynthesizeProcess(); err != nil {
 			return nil, err
 		}
-		if err := Install(m.Ctrl, tables); err != nil {
-			return nil, err
+		for _, page := range procs[p].LeafTablePages() {
+			for off := uint64(0); off < pte.PageSize; off += pte.LineBytes {
+				addrs = append(addrs, page+off)
+			}
 		}
-		tables.LeafLines(func(addr uint64, arch pte.Line) {
-			pool = append(pool, Line{Addr: addr, Arch: arch, Protected: m.Dev.ReadLine(addr)})
-		})
 	}
-	if len(pool) == 0 {
+	if len(addrs) == 0 {
 		return nil, errors.New("testbed: empty line pool")
 	}
 	shuf := stats.NewRNG(seed ^ 0x5F0F)
-	for i := len(pool) - 1; i > 0; i-- {
+	for i := len(addrs) - 1; i > 0; i-- {
 		j := shuf.Intn(i + 1)
-		pool[i], pool[j] = pool[j], pool[i]
+		addrs[i], addrs[j] = addrs[j], addrs[i]
+	}
+	addrs = addrs[:min(n, len(addrs))]
+
+	arch := func(addr uint64) pte.Line {
+		for _, tables := range procs {
+			if line, ok := tables.LineAt(addr); ok {
+				return line
+			}
+		}
+		panic("testbed: pooled line outside every table")
+	}
+	// One batch in ascending address order, the order Install flushes a
+	// process's tables in.
+	batch := slices.Clone(addrs)
+	slices.Sort(batch)
+	lines := make([]pte.Line, len(batch))
+	for i, addr := range batch {
+		lines[i] = arch(addr)
+	}
+	if _, err := m.Ctrl.WriteLinesBatch(batch, lines); err != nil {
+		return nil, err
+	}
+	pool := make([]Line, len(addrs))
+	for i, addr := range addrs {
+		pool[i] = Line{Addr: addr, Arch: arch(addr), Protected: m.Dev.ReadLine(addr)}
 	}
 	return pool, nil
 }

@@ -32,7 +32,7 @@ func newPool(t *testing.T, seed uint64) ([]Line, *core.Guard) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := Pool(m, seed)
+	pool, err := Pool(m, seed, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +65,83 @@ func TestPoolIsPureFunctionOfSeed(t *testing.T) {
 	c, _ := newPool(t, 8)
 	if reflect.DeepEqual(a, c) {
 		t.Error("pools from different seeds are identical")
+	}
+}
+
+// fullInstallPool builds the pool the eager way: synthesise the pool's
+// processes, install every one of their table lines, collect every leaf
+// line with its stored image, and shuffle.
+func fullInstallPool(t *testing.T, seed uint64) []Line {
+	t.Helper()
+	m, err := New(newGuard(t, seed), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth := ostable.DefaultSynthConfig()
+	synth.Seed = seed
+	pop, err := ostable.NewPopulation(synth, m.Alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool []Line
+	for p := 0; p < poolProcesses; p++ {
+		tables, err := pop.SynthesizeProcess()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Install(m.Ctrl, tables); err != nil {
+			t.Fatal(err)
+		}
+		tables.LeafLines(func(addr uint64, arch pte.Line) {
+			pool = append(pool, Line{Addr: addr, Arch: arch, Protected: m.Dev.ReadLine(addr)})
+		})
+	}
+	shuf := stats.NewRNG(seed ^ 0x5F0F)
+	for i := len(pool) - 1; i > 0; i-- {
+		j := shuf.Intn(i + 1)
+		pool[i], pool[j] = pool[j], pool[i]
+	}
+	return pool
+}
+
+// TestPoolMatchesFullInstall: installing only the n lines a pool returns
+// yields the same lines, in the same order, with the same protected images
+// as installing every table line and truncating.
+func TestPoolMatchesFullInstall(t *testing.T) {
+	for _, seed := range []uint64{1, 42, 7101} {
+		want := fullInstallPool(t, seed)
+		for _, n := range []int{1, 400, len(want) + 1000} {
+			m, err := New(newGuard(t, seed), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Pool(m, seed, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := want[:min(n, len(want))]
+			if len(got) != len(w) {
+				t.Fatalf("seed %d n %d: %d lines, want %d", seed, n, len(got), len(w))
+			}
+			for i := range w {
+				if got[i] != w[i] {
+					t.Fatalf("seed %d n %d: line %d = %+v, want %+v", seed, n, i, got[i], w[i])
+				}
+			}
+			if writes := m.Ctrl.Stats().Writes; writes != uint64(len(w)) {
+				t.Errorf("seed %d n %d: %d controller writes for %d pooled lines", seed, n, writes, len(w))
+			}
+		}
+	}
+}
+
+func TestPoolRejectsNonPositiveSize(t *testing.T) {
+	m, err := New(newGuard(t, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Pool(m, 1, 0); err == nil {
+		t.Error("Pool of size 0 accepted")
 	}
 }
 
